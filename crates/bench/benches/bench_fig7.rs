@@ -5,9 +5,10 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dbdc::{
-    central_dbscan, run_dbdc, run_dbdc_threaded, DbdcParams, EpsGlobal, LocalModelKind, Partitioner,
+    central_dbscan, run_dbdc, run_dbdc_with, DbdcParams, EpsGlobal, LocalModelKind, Partitioner,
 };
 use dbdc_datagen::scaled_a;
+use dbdc_obs::NoopRecorder;
 use std::hint::black_box;
 
 const N: usize = 10_000;
@@ -44,11 +45,13 @@ fn bench_central_vs_dbdc(c: &mut Criterion) {
     });
     group.bench_function("dbdc_rep_scor_threaded", |b| {
         b.iter(|| {
-            black_box(run_dbdc_threaded(
+            black_box(run_dbdc_with(
                 &g.data,
                 &params.with_model(LocalModelKind::Scor),
                 Partitioner::RandomEqual { seed: 7 },
                 SITES,
+                true,
+                &NoopRecorder,
             ))
         });
     });

@@ -18,10 +18,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbdc_bench::report::{dataset_checksum, env_fingerprint, wall_histogram, write_bench_json};
-use dbdc_cluster::{dbscan, par_dbscan, par_dbscan_observed, DbscanParams};
+use dbdc_cluster::{dbscan, par_dbscan, par_dbscan_instrumented, DbscanParams};
 use dbdc_datagen::dataset_c;
 use dbdc_geom::Euclidean;
-use dbdc_index::{build_index, build_index_observed, IndexKind};
+use dbdc_index::{build_index, build_index_opts, BuildOptions, IndexKind};
 use dbdc_obs::{DatasetInfo, Recorder, RecordingRecorder, RunReport, Span};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -93,26 +93,31 @@ fn write_run_report(g: &dbdc_datagen::GeneratedData, params: &DbscanParams) {
     // timing loops.
     let rec = RecordingRecorder::new();
     let seq_sheet = rec.sheet("sequential").expect("recording recorder");
-    let seq_idx = build_index_observed(
+    let seq_idx = build_index_opts(
         IndexKind::RStar,
         &g.data,
         Euclidean,
         params.eps,
+        BuildOptions::default(),
         Some(&seq_sheet),
+        None,
     );
     dbscan(&g.data, seq_idx.as_ref(), params);
     let threads = 2usize;
     let par_sheet = rec
         .sheet(&format!("parallel[{threads}]"))
         .expect("recording recorder");
-    let par_idx = build_index_observed(
+    let par_idx = build_index_opts(
         IndexKind::RStar,
         &g.data,
         Euclidean,
         params.eps,
+        BuildOptions::default(),
         Some(&par_sheet),
+        None,
     );
-    par_dbscan_observed(&g.data, par_idx.as_ref(), params, threads, Some(&par_sheet));
+    let dsu_sheet = Some(par_sheet.as_ref());
+    par_dbscan_instrumented(&g.data, par_idx.as_ref(), params, threads, dsu_sheet, None);
 
     let mut report = RunReport::new("bench_par_dbscan")
         .with_param("dataset", "c")

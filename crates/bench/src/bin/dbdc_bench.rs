@@ -53,7 +53,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use dbdc::{run_dbdc, run_dbdc_recorded, DbdcParams, Partitioner};
+use dbdc::{run_dbdc, run_dbdc_with, DbdcParams, Partitioner};
 use dbdc_bench::report::{dataset_checksum, env_fingerprint};
 use dbdc_cluster::dbcv::dbcv;
 use dbdc_datagen::{dataset_a, dataset_b, dataset_c, GeneratedData};
@@ -209,9 +209,9 @@ fn main() {
                         build = build.min(
                             outcome
                                 .timings
-                                .build
+                                .local
                                 .iter()
-                                .copied()
+                                .map(|t| t.build)
                                 .max()
                                 .unwrap_or(Duration::ZERO),
                         );
@@ -228,11 +228,12 @@ fn main() {
                     // per-site ε-range query histograms and record their
                     // median as this rep's eps_range_ns sample.
                     let rec = RecordingRecorder::new();
-                    let outcome = run_dbdc_recorded(
+                    let outcome = run_dbdc_with(
                         &set.data,
                         &params,
                         Partitioner::RandomEqual { seed: 11 },
                         SITES,
+                        false,
                         &rec,
                     );
                     std::hint::black_box(&outcome.assignment);

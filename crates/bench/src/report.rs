@@ -13,53 +13,9 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use dbdc_geom::Dataset;
-use dbdc_obs::{EnvFingerprint, Histogram, RunReport};
+use dbdc_obs::{Histogram, RunReport};
 
-/// FNV-1a over the dataset's shape and exact coordinate bit patterns.
-/// Two runs with equal checksums timed exactly the same input.
-pub fn dataset_checksum(data: &Dataset) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(&(data.dim() as u64).to_le_bytes());
-    eat(&(data.len() as u64).to_le_bytes());
-    for p in data.iter() {
-        for &c in p {
-            eat(&c.to_bits().to_le_bytes());
-        }
-    }
-    format!("{h:016x}")
-}
-
-/// The producing environment: hardware parallelism, toolchain, git
-/// revision, and the checksum of the input data. Fields that cannot be
-/// determined (no `rustc`/`git` on PATH, detached tree) hold
-/// `"unknown"` rather than failing the bench.
-pub fn env_fingerprint(dataset_checksum: String) -> EnvFingerprint {
-    let run = |cmd: &str, args: &[&str]| -> Option<String> {
-        let out = std::process::Command::new(cmd).args(args).output().ok()?;
-        if !out.status.success() {
-            return None;
-        }
-        let s = String::from_utf8(out.stdout).ok()?;
-        let s = s.trim();
-        (!s.is_empty()).then(|| s.to_string())
-    };
-    EnvFingerprint {
-        nproc: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        rustc: run("rustc", &["--version"]).unwrap_or_else(|| "unknown".into()),
-        git_rev: run("git", &["rev-parse", "--short=12", "HEAD"])
-            .unwrap_or_else(|| "unknown".into()),
-        dataset_checksum,
-    }
-}
+pub use dbdc::observe::{dataset_checksum, env_fingerprint};
 
 /// Runs `f` `iters` times and collects each repetition's wall time (in
 /// nanoseconds) into a [`Histogram`] — the cell format `report diff`
@@ -91,6 +47,7 @@ pub fn write_bench_json(name: &str, report: &RunReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbdc_geom::Dataset;
 
     #[test]
     fn checksum_is_input_sensitive() {

@@ -10,13 +10,13 @@
 
 use dbdc::observe::cluster_stats;
 use dbdc::{
-    central_dbscan_recorded, dbdc_run_report, q_dbdc, run_dbdc_recorded,
-    run_dbdc_threaded_recorded, DbdcParams, EpsGlobal, ObjectQuality, Partitioner,
+    central_dbscan_recorded, dbdc_run_report, q_dbdc, run_dbdc_with, DbdcParams, EpsGlobal,
+    ObjectQuality, Partitioner,
 };
 use dbdc_cli::args::Args;
 use dbdc_cli::opts::{
-    build_params, finish_report, no_positionals, parse_link, parse_partitioner, quality_stats,
-    read_input, wants_report, CliResult,
+    build_params, finish_report, no_positionals, parse_density, parse_eps_global_spec, parse_link,
+    parse_partitioner, parse_sites, quality_stats, read_input, wants_report, CliResult,
 };
 use dbdc_cli::{csv, netcmd};
 use dbdc_geom::Dataset;
@@ -254,7 +254,8 @@ fn cmd_central(raw: &[String]) -> CliResult {
     )?;
     no_positionals(&args)?;
     let data = read_input(&args)?;
-    let params = DbdcParams::new(args.require_as("eps")?, args.require_as("min-pts")?)
+    let (eps, min_pts) = parse_density(&args)?;
+    let params = DbdcParams::new(eps, min_pts)
         .with_index(args.get_or("index", dbdc_index::IndexKind::RStar)?)
         .with_threads(args.get_or("threads", 1)?);
     let wants = wants_report(&args);
@@ -317,18 +318,15 @@ fn cmd_run(raw: &[String]) -> CliResult {
     no_positionals(&args)?;
     let data = read_input(&args)?;
     let params = build_params(&args)?;
-    let sites: usize = args.require_as("sites")?;
+    let sites = parse_sites(&args)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let part = parse_partitioner(&args, seed)?;
     let link = parse_link(&args)?;
+    let threaded = args.switch("threaded");
     let wants = wants_report(&args);
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
-    let outcome = if args.switch("threaded") {
-        run_dbdc_threaded_recorded(&data, &params, part, sites, recorder)
-    } else {
-        run_dbdc_recorded(&data, &params, part, sites, recorder)
-    };
+    let outcome = run_dbdc_with(&data, &params, part, sites, threaded, recorder);
     println!(
         "DBDC({}) over {sites} sites: {} clusters, {} noise",
         params.model.name(),
@@ -357,11 +355,7 @@ fn cmd_run(raw: &[String]) -> CliResult {
     // and parameters, with only the scan precision flipped back.
     let oracle = (params.precision == dbdc_index::Precision::F32).then(|| {
         let oracle_params = params.with_precision(dbdc_index::Precision::F64);
-        if args.switch("threaded") {
-            run_dbdc_threaded_recorded(&data, &oracle_params, part, sites, &NoopRecorder)
-        } else {
-            run_dbdc_recorded(&data, &oracle_params, part, sites, &NoopRecorder)
-        }
+        run_dbdc_with(&data, &oracle_params, part, sites, threaded, &NoopRecorder)
     });
     let agreement = oracle
         .as_ref()
@@ -464,20 +458,15 @@ fn cmd_compare(raw: &[String]) -> CliResult {
     no_positionals(&args)?;
     let data = read_input(&args)?;
     let params = build_params(&args)?;
-    let sites: usize = args.require_as("sites")?;
+    let sites = parse_sites(&args)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let link = parse_link(&args)?;
     let wants = wants_report(&args);
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
     let (central, central_time) = central_dbscan_recorded(&data, &params, recorder);
-    let outcome = run_dbdc_recorded(
-        &data,
-        &params,
-        Partitioner::RandomEqual { seed },
-        sites,
-        recorder,
-    );
+    let part = Partitioner::RandomEqual { seed };
+    let outcome = run_dbdc_with(&data, &params, part, sites, false, recorder);
     let p1 = q_dbdc(
         &outcome.assignment,
         &central.clustering,
@@ -567,20 +556,13 @@ fn cmd_tune(raw: &[String]) -> CliResult {
     no_positionals(&args)?;
     let data = read_input(&args)?;
     let base = build_params(&args)?;
-    let sites: usize = args.require_as("sites")?;
+    let sites = parse_sites(&args)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let part = parse_partitioner(&args, seed)?;
     let spec = args.get("candidates").unwrap_or(TUNE_CANDIDATES);
     let mut candidates: Vec<(String, EpsGlobal)> = Vec::new();
     for tok in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-        let eg =
-            match tok {
-                "max" => EpsGlobal::MaxEpsRange,
-                v => EpsGlobal::MultipleOfLocal(v.parse().map_err(|_| {
-                    format!("--candidates expects multipliers or \"max\", got {v:?}")
-                })?),
-            };
-        candidates.push((tok.to_string(), eg));
+        candidates.push((tok.to_string(), parse_eps_global_spec("candidates", tok)?));
     }
     if candidates.is_empty() {
         return Err("--candidates is empty".into());
@@ -599,7 +581,7 @@ fn cmd_tune(raw: &[String]) -> CliResult {
     for (name, eg) in &candidates {
         let params = base.with_eps_global(*eg);
         let c0 = Instant::now();
-        let outcome = run_dbdc_recorded(&data, &params, part, sites, &NoopRecorder);
+        let outcome = run_dbdc_with(&data, &params, part, sites, false, &NoopRecorder);
         // The sweep is scored by DBCV alone: ground-truth-free, so the
         // same procedure works on unlabeled production data.
         let quality = quality_stats(&data, &outcome.assignment, params.index, recorder);
@@ -689,7 +671,8 @@ fn cmd_plot(raw: &[String]) -> CliResult {
     let t0 = Instant::now();
     let clustering = match (args.get("eps"), args.get("min-pts")) {
         (Some(_), Some(_)) => {
-            let params = DbdcParams::new(args.require_as("eps")?, args.require_as("min-pts")?)
+            let (eps, min_pts) = parse_density(&args)?;
+            let params = DbdcParams::new(eps, min_pts)
                 .with_index(args.get_or("index", dbdc_index::IndexKind::RStar)?);
             let (result, _) = central_dbscan_recorded(&data, &params, recorder);
             println!(
@@ -744,8 +727,15 @@ fn cmd_suggest(raw: &[String]) -> CliResult {
     let rec = RecordingRecorder::new();
     let sheet = if wants { rec.sheet("suggest") } else { None };
     let t0 = Instant::now();
-    let index =
-        dbdc_index::build_index_observed(kind, &data, dbdc_geom::Euclidean, 1.0, sheet.as_ref());
+    let index = dbdc_index::build_index_opts(
+        kind,
+        &data,
+        dbdc_geom::Euclidean,
+        1.0,
+        dbdc_index::BuildOptions::default(),
+        sheet.as_ref(),
+        None,
+    );
     let kd = dbdc_cluster::k_distance(&data, index.as_ref(), k);
     let kd_time = t0.elapsed();
     println!("sorted {k}-distance curve: {}", kd.sparkline(60));
@@ -796,13 +786,13 @@ fn cmd_stream(raw: &[String]) -> CliResult {
     )?;
     no_positionals(&args)?;
     let data = read_input(&args)?;
-    let params = DbdcParams::new(args.require_as("eps")?, args.require_as("min-pts")?)
-        .with_eps_global(EpsGlobal::MultipleOfLocal(2.0));
-    let sites: usize = args.require_as("sites")?;
+    let (eps, min_pts) = parse_density(&args)?;
+    let params = DbdcParams::new(eps, min_pts).with_eps_global(EpsGlobal::MultipleOfLocal(2.0));
+    let sites = parse_sites(&args)?;
     let batch: usize = args.get_or("batch", 200)?;
     let drift_threshold: f64 = args.get_or("drift", 0.1)?;
-    if sites == 0 {
-        return Err("need at least one site".into());
+    if batch == 0 {
+        return Err("--batch must be at least 1".into());
     }
     let t0 = Instant::now();
     let mut clients: Vec<dbdc::ClientSession> = (0..sites)

@@ -18,9 +18,11 @@
 
 use crate::args::Args;
 use crate::opts::{
-    build_params, finish_report, no_positionals, parse_partitioner, quality_stats, read_input,
-    wants_report, CliResult,
+    build_params, finish_report, no_positionals, parse_partitioner, parse_sites, quality_stats,
+    read_input, wants_report, CliResult,
 };
+use dbdc::observe::{dataset_checksum, env_fingerprint, with_protocol_params};
+use dbdc_cluster::effective_threads;
 use dbdc_geom::{Clustering, Dataset, Label};
 use dbdc_net::http_get;
 use dbdc_net::{
@@ -28,9 +30,8 @@ use dbdc_net::{
     SiteOptions,
 };
 use dbdc_obs::{
-    delta, fmt_ms, fmt_sample, DatasetInfo, EnvFingerprint, NoopRecorder, Recorder,
-    RecordingRecorder, RunReport, SiteStats, SnapshotEngine, Span, TelemetrySnapshot,
-    TransferStats,
+    delta, fmt_ms, fmt_sample, DatasetInfo, NoopRecorder, Recorder, RecordingRecorder, RunReport,
+    SiteStats, SnapshotEngine, Span, TelemetrySnapshot, TransferStats,
 };
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -143,7 +144,6 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
             "model",
             "eps-global",
             "index",
-            "threads",
             "bind",
             "addr-file",
             "read-timeout-ms",
@@ -158,10 +158,7 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
     )?;
     no_positionals(&args)?;
     let params = build_params(&args)?;
-    let n_sites: usize = args.require_as("sites")?;
-    if n_sites == 0 {
-        return Err("need at least one site".into());
-    }
+    let n_sites = parse_sites(&args)?;
     let bind = args.get("bind").unwrap_or("127.0.0.1:0");
     let listener = TcpListener::bind(bind).map_err(|e| format!("cannot bind {bind}: {e}"))?;
     let addr = listener.local_addr()?;
@@ -422,8 +419,8 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
     }
 
     if wants {
-        let mut report = RunReport::new("site")
-            .with_identity("site", run_id, format!("site[{site}]"))
+        let report = RunReport::new("site").with_identity("site", run_id, format!("site[{site}]"));
+        let mut report = with_protocol_params(report, &params)
             .with_param("site", site)
             .with_param("sites", n_sites)
             .with_param("attempts", outcome.attempts)
@@ -437,7 +434,8 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
             "dbdc_site",
             outcome.local_wall + outcome.session_wall + outcome.relabel_wall,
         );
-        root.push(Span::new(format!("local[{site}]"), outcome.local_wall));
+        let workers = effective_threads(params.threads);
+        root.push(outcome.local_phases.to_span(site as usize, workers));
         // The session wall covers upload + broadcast receipt: a
         // measured span where the in-process report splices modeled
         // `upload`/`broadcast` durations. Its children are the measured
@@ -757,54 +755,6 @@ fn spawn_admin(
         .map_err(|e| format!("cannot bind admin address {addr}: {e}"))?;
     println!("admin telemetry on http://{}/metrics", admin.addr());
     Ok(Some(admin))
-}
-
-/// FNV-1a over the dataset's shape and exact coordinate bit patterns —
-/// the same checksum the bench harness stamps, so merged fleet reports
-/// can confirm every site loaded the identical input.
-fn dataset_checksum(data: &Dataset) -> String {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(&(data.dim() as u64).to_le_bytes());
-    eat(&(data.len() as u64).to_le_bytes());
-    for p in data.iter() {
-        for &c in p {
-            eat(&c.to_bits().to_le_bytes());
-        }
-    }
-    format!("{h:016x}")
-}
-
-/// The producing environment, mirroring the bench harness's fingerprint
-/// so `report merge` can cross-check toolchain drift across the fleet.
-/// Undeterminable fields hold `"unknown"` rather than failing the run.
-fn env_fingerprint(dataset_checksum: String) -> EnvFingerprint {
-    let run = |cmd: &str, cmd_args: &[&str]| -> Option<String> {
-        let out = std::process::Command::new(cmd)
-            .args(cmd_args)
-            .output()
-            .ok()?;
-        if !out.status.success() {
-            return None;
-        }
-        let s = String::from_utf8(out.stdout).ok()?;
-        let s = s.trim();
-        (!s.is_empty()).then(|| s.to_string())
-    };
-    EnvFingerprint {
-        nproc: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        rustc: run("rustc", &["--version"]).unwrap_or_else(|| "unknown".into()),
-        git_rev: run("git", &["rev-parse", "--short=12", "HEAD"])
-            .unwrap_or_else(|| "unknown".into()),
-        dataset_checksum,
-    }
 }
 
 fn wants_help(raw: &[String]) -> bool {

@@ -87,17 +87,46 @@ pub fn read_input(args: &Args) -> Result<Dataset, Box<dyn std::error::Error>> {
     Ok(csv::read_dataset(BufReader::new(file))?)
 }
 
+/// Parses one `Eps_global` spec: a positive multiplier of `--eps`, or
+/// `max`. `flag` names the flag in the error message.
+pub fn parse_eps_global_spec(flag: &str, v: &str) -> Result<EpsGlobal, Box<dyn std::error::Error>> {
+    if v == "max" {
+        return Ok(EpsGlobal::MaxEpsRange);
+    }
+    match v.parse::<f64>() {
+        Ok(mult) if mult.is_finite() && mult > 0.0 => Ok(EpsGlobal::MultipleOfLocal(mult)),
+        _ => Err(format!("--{flag} expects a positive multiplier or \"max\", got {v:?}").into()),
+    }
+}
+
 /// Parses `--eps-global` (a multiplier of `--eps`, or `max`).
 pub fn parse_eps_global(args: &Args) -> Result<EpsGlobal, Box<dyn std::error::Error>> {
     match args.get("eps-global") {
         None => Ok(EpsGlobal::MultipleOfLocal(2.0)),
-        Some("max") => Ok(EpsGlobal::MaxEpsRange),
-        Some(v) => {
-            let mult: f64 = v
-                .parse()
-                .map_err(|_| format!("--eps-global expects a multiplier or \"max\", got {v:?}"))?;
-            Ok(EpsGlobal::MultipleOfLocal(mult))
-        }
+        Some(v) => parse_eps_global_spec("eps-global", v),
+    }
+}
+
+/// Parses `--eps` and `--min-pts`, rejecting the values
+/// [`DbdcParams::new`] would panic on: a non-positive or non-finite ε
+/// and `MinPts = 0`.
+pub fn parse_density(args: &Args) -> Result<(f64, usize), Box<dyn std::error::Error>> {
+    let eps: f64 = args.require_as("eps")?;
+    if !(eps.is_finite() && eps > 0.0) {
+        return Err(format!("--eps must be positive and finite, got {eps}").into());
+    }
+    let min_pts: usize = args.require_as("min-pts")?;
+    if min_pts == 0 {
+        return Err("--min-pts must be at least 1".into());
+    }
+    Ok((eps, min_pts))
+}
+
+/// Parses the required `--sites` count, which must be at least 1.
+pub fn parse_sites(args: &Args) -> Result<usize, Box<dyn std::error::Error>> {
+    match args.require_as("sites")? {
+        0 => Err("--sites must be at least 1".into()),
+        n => Ok(n),
     }
 }
 
@@ -128,8 +157,7 @@ pub fn parse_partitioner(
 /// Builds the full [`DbdcParams`] from `--eps`, `--min-pts`, and the
 /// optional model/index/threads/partitions/precision flags.
 pub fn build_params(args: &Args) -> Result<DbdcParams, Box<dyn std::error::Error>> {
-    let eps: f64 = args.require_as("eps")?;
-    let min_pts: usize = args.require_as("min-pts")?;
+    let (eps, min_pts) = parse_density(args)?;
     let index: dbdc_index::IndexKind = args.get_or("index", dbdc_index::IndexKind::RStar)?;
     let threads: usize = args.get_or("threads", 1)?;
     let partitions: usize = args.get_or("partitions", 1)?;

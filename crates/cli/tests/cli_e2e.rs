@@ -144,6 +144,59 @@ fn bad_usage_exits_nonzero_with_message() {
 }
 
 #[test]
+fn bad_parameters_are_usage_errors_not_panics() {
+    let csv = tmp("bad_params.csv");
+    assert!(bin()
+        .args(["generate", "--set", "c", "--seed", "3", "--out"])
+        .arg(&csv)
+        .status()
+        .expect("binary runs")
+        .success());
+    let run = |extra: &[&str]| {
+        let mut cmd = bin();
+        cmd.args(["run", "--input"]).arg(&csv);
+        cmd.args(extra).output().expect("binary runs")
+    };
+    for (flags, message) in [
+        (
+            ["--eps", "-1", "--min-pts", "5", "--sites", "2"],
+            "--eps must be positive",
+        ),
+        (
+            ["--eps", "1.2", "--min-pts", "0", "--sites", "2"],
+            "--min-pts must be at least 1",
+        ),
+        (
+            ["--eps", "1.2", "--min-pts", "5", "--sites", "0"],
+            "--sites must be at least 1",
+        ),
+    ] {
+        let out = run(&flags);
+        // Exit code 1 is a reported error; a panic would exit 101.
+        assert_eq!(out.status.code(), Some(1), "{flags:?}: {out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(message), "{flags:?}: {stderr}");
+    }
+
+    let server = |extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_dbdc-server"))
+            .args(["--sites", "2", "--deadline-ms", "1"])
+            .args(extra)
+            .output()
+            .expect("dbdc-server runs")
+    };
+    let out = server(&["--eps", "-1", "--min-pts", "5"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--eps must be positive"));
+    // The server's global step is a single-threaded scan: it rejects
+    // --threads instead of silently ignoring it.
+    let out = server(&["--eps", "1.2", "--min-pts", "5", "--threads", "2"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --threads"));
+    let _ = std::fs::remove_file(&csv);
+}
+
+#[test]
 fn metrics_out_report_round_trip() {
     let csv = tmp("metrics.csv");
     let json = tmp("metrics.json");

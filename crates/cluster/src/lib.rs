@@ -45,13 +45,12 @@ pub use kmeans::{kmeans_pp, kmeans_seeded, KMeansParams, KMeansResult};
 pub use metric_dbscan::{metric_dbscan, MetricDbscanResult};
 pub use optics::{extract_dbscan, optics, OpticsResult};
 pub use par_dbscan::{
-    effective_threads, par_dbscan, par_dbscan_instrumented, par_dbscan_observed,
-    par_dbscan_with_scp, parallel_neighborhoods,
+    effective_threads, par_dbscan, par_dbscan_instrumented, par_dbscan_with_scp,
+    parallel_neighborhoods,
 };
 pub use partitioned::{
     effective_partitions, partitioned_dbscan, partitioned_dbscan_with_scp,
-    partitioned_dbscan_with_scp_observed, partitioned_neighborhoods,
-    partitioned_neighborhoods_observed, PartitionStats,
+    partitioned_neighborhoods, PartitionStats,
 };
 pub use scp::{dbscan_with_scp, ScpResult, SpecificCorePoint};
 pub use singlelink::{single_link, Dendrogram, Merge};

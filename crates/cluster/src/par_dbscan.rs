@@ -147,32 +147,17 @@ pub fn par_dbscan(
     params: &DbscanParams,
     threads: usize,
 ) -> DbscanResult {
-    par_dbscan_observed(data, index, params, threads, None)
+    par_dbscan_instrumented(data, index, params, threads, None, None)
 }
 
-/// [`par_dbscan`] with an optional [`dbdc_obs::CounterSheet`] recording
-/// the DSU work of the merge and canonicalization phases (the index's
-/// own query counters attach to the index, not here). With
-/// `sheet: None` this is exactly [`par_dbscan`]; the tally lives in
+/// [`par_dbscan`] with optional instrumentation. `sheet` records the
+/// DSU work of the merge and canonicalization phases (the index's own
+/// query counters attach to the index, not here); the tally lives in
 /// plain fields of the [`UnionFind`] either way and is flushed once at
-/// the end, so the hot loops see no atomics.
-///
-/// # Panics
-/// Panics if the index does not cover `data` (`index.len() != data.len()`).
-pub fn par_dbscan_observed(
-    data: &Dataset,
-    index: &dyn NeighborIndex,
-    params: &DbscanParams,
-    threads: usize,
-    sheet: Option<&dbdc_obs::CounterSheet>,
-) -> DbscanResult {
-    par_dbscan_instrumented(data, index, params, threads, sheet, None)
-}
-
-/// [`par_dbscan_observed`] with an optional [`dbdc_obs::HistSheet`]
-/// capturing the *distribution* of DSU batch sizes — how many union
-/// operations each core point's neighborhood contributes to the merge
-/// phase. A heavy tail here means a few dense hubs dominate the merge.
+/// the end, so the hot loops see no atomics. `hist` captures the
+/// *distribution* of DSU batch sizes — how many union operations each
+/// core point's neighborhood contributes to the merge phase. A heavy
+/// tail here means a few dense hubs dominate the merge.
 /// With `hist: None` the merge loop is the uninstrumented original.
 ///
 /// # Panics
@@ -548,7 +533,7 @@ mod tests {
         let idx = LinearScan::new(&d, Euclidean);
         let params = DbscanParams::new(0.4, 3);
         let sheet = dbdc_obs::CounterSheet::new();
-        let r = par_dbscan_observed(&d, &idx, &params, 2, Some(&sheet));
+        let r = par_dbscan_instrumented(&d, &idx, &params, 2, Some(&sheet), None);
         let c = sheet.snapshot();
 
         // Recompute the merge phase's shape from the neighborhoods.

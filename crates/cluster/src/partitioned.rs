@@ -78,24 +78,12 @@ struct Stripe {
 /// indexes, with partitions processed concurrently on up to `threads`
 /// workers (`0` = all cores). Neighbor lists come back sorted
 /// ascending; as sets they equal the answers of one index over the
-/// whole dataset.
-pub fn partitioned_neighborhoods(
-    data: &Dataset,
-    kind: IndexKind,
-    eps: f64,
-    partitions: usize,
-    threads: usize,
-    precision: Precision,
-) -> (Vec<Vec<u32>>, PartitionStats) {
-    partitioned_neighborhoods_observed(data, kind, eps, partitions, threads, precision, None, None)
-}
-
-/// [`partitioned_neighborhoods`] with optional instrumentation shared
-/// by every partition's index: `sheet` collects query work counters,
-/// `hist` the per-query latency distribution. The sheets are lock-free,
-/// so partition workers record concurrently.
+/// whole dataset. Optional instrumentation is shared by every
+/// partition's index: `sheet` collects query work counters, `hist` the
+/// per-query latency distribution. The sheets are lock-free, so
+/// partition workers record concurrently.
 #[allow(clippy::too_many_arguments)]
-pub fn partitioned_neighborhoods_observed(
+pub fn partitioned_neighborhoods(
     data: &Dataset,
     kind: IndexKind,
     eps: f64,
@@ -253,8 +241,9 @@ pub fn partitioned_dbscan(
     threads: usize,
     precision: Precision,
 ) -> (DbscanResult, PartitionStats) {
-    let (neighbors, stats) =
-        partitioned_neighborhoods(data, kind, params.eps, partitions, threads, precision);
+    let (neighbors, stats) = partitioned_neighborhoods(
+        data, kind, params.eps, partitions, threads, precision, None, None,
+    );
     let result = cluster_from_neighborhoods(data.len(), &neighbors, params.min_pts, None, None);
     (result, stats)
 }
@@ -262,24 +251,9 @@ pub fn partitioned_dbscan(
 /// Partitioned variant of [`crate::par_dbscan::par_dbscan_with_scp`]:
 /// identical labels, deterministic (but possibly different from the
 /// unpartitioned run's) specific-core-point representatives — see the
-/// module docs.
-pub fn partitioned_dbscan_with_scp(
-    data: &Dataset,
-    kind: IndexKind,
-    params: &DbscanParams,
-    partitions: usize,
-    threads: usize,
-    precision: Precision,
-) -> (ScpResult, PartitionStats) {
-    let (neighbors, stats) =
-        partitioned_neighborhoods(data, kind, params.eps, partitions, threads, precision);
-    (replay_scp(data, &neighbors, params), stats)
-}
-
-/// [`partitioned_dbscan_with_scp`] with optional instrumentation, as
-/// [`partitioned_neighborhoods_observed`].
+/// module docs. Instrumentation as in [`partitioned_neighborhoods`].
 #[allow(clippy::too_many_arguments)]
-pub fn partitioned_dbscan_with_scp_observed(
+pub fn partitioned_dbscan_with_scp(
     data: &Dataset,
     kind: IndexKind,
     params: &DbscanParams,
@@ -289,7 +263,7 @@ pub fn partitioned_dbscan_with_scp_observed(
     sheet: Option<&std::sync::Arc<dbdc_obs::CounterSheet>>,
     hist: Option<&std::sync::Arc<dbdc_obs::HistSheet>>,
 ) -> (ScpResult, PartitionStats) {
-    let (neighbors, stats) = partitioned_neighborhoods_observed(
+    let (neighbors, stats) = partitioned_neighborhoods(
         data, kind, params.eps, partitions, threads, precision, sheet, hist,
     );
     (replay_scp(data, &neighbors, params), stats)
@@ -344,7 +318,7 @@ mod tests {
         let idx = LinearScan::new(&d, Euclidean);
         let eps = 1.2;
         let (nb, stats) =
-            partitioned_neighborhoods(&d, IndexKind::KdTree, eps, 4, 2, Precision::F64);
+            partitioned_neighborhoods(&d, IndexKind::KdTree, eps, 4, 2, Precision::F64, None, None);
         assert!(stats.halo_points > 0, "ε-halos must replicate points");
         assert_eq!(
             stats.halo_points,
@@ -366,7 +340,8 @@ mod tests {
         for i in 0..400 {
             d.push(&[(i % 7) as f64 * 0.01, i as f64 * 0.5]);
         }
-        let (_, stats) = partitioned_neighborhoods(&d, IndexKind::Grid, 1.0, 4, 2, Precision::F64);
+        let (_, stats) =
+            partitioned_neighborhoods(&d, IndexKind::Grid, 1.0, 4, 2, Precision::F64, None, None);
         let owned: usize = stats.partition_owned.iter().sum();
         assert_eq!(owned, d.len());
         assert!(
@@ -394,8 +369,16 @@ mod tests {
         let idx = LinearScan::new(&d, Euclidean);
         let params = DbscanParams::new(0.8, 3);
         let seq = dbscan(&d, &idx, &params);
-        let (scp, _) =
-            partitioned_dbscan_with_scp(&d, IndexKind::KdTree, &params, 3, 2, Precision::F64);
+        let (scp, _) = partitioned_dbscan_with_scp(
+            &d,
+            IndexKind::KdTree,
+            &params,
+            3,
+            2,
+            Precision::F64,
+            None,
+            None,
+        );
         assert_eq!(seq.clustering, scp.dbscan.clustering);
         // Every core point must be covered by a representative of its
         // own cluster within the specific ε-range (Definition 7).

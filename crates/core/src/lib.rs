@@ -15,8 +15,9 @@
 //! 4. the global model is broadcast and every site [`relabel`]s its objects,
 //!    merging local clusters and upgrading covered noise.
 //!
-//! [`runtime`] orchestrates the whole protocol (sequentially, matching the
-//! paper's cost model, or threaded); [`quality`] implements the paper's
+//! [`protocol`] defines each step once, for every driver; [`runtime`]
+//! orchestrates the whole protocol in one process (sequentially, matching
+//! the paper's cost model, or threaded); [`quality`] implements the paper's
 //! `P^I`/`P^II` object quality functions and `Q_DBDC`; [`wire`] gives the
 //! models an exact byte cost; [`partition`] distributes datasets onto sites;
 //! [`network`] converts bytes into simulated transfer times.
@@ -50,6 +51,7 @@ pub mod observe;
 pub mod params;
 pub mod partition;
 pub mod pdbscan;
+pub mod protocol;
 pub mod quality;
 pub mod rachet;
 pub mod relabel;
@@ -65,11 +67,12 @@ pub use observe::dbdc_run_report;
 pub use params::{DbdcParams, EpsGlobal, LocalModelKind};
 pub use partition::Partitioner;
 pub use pdbscan::{run_pdbscan, PdbscanOutcome};
+pub use protocol::LocalTimes;
 pub use quality::{cluster_report, q_dbdc, ClusterMatch, ObjectQuality, QualityReport};
 pub use rachet::{run_rachet, ClusterSummary, RachetOutcome};
 pub use relabel::{relabel_site, relabel_site_observed};
 pub use runtime::{
-    central_dbscan, central_dbscan_recorded, run_dbdc, run_dbdc_recorded, run_dbdc_threaded,
-    run_dbdc_threaded_recorded, DbdcOutcome, PhaseThreads, Timings,
+    central_dbscan, central_dbscan_recorded, run_dbdc, run_dbdc_with, DbdcOutcome, PhaseThreads,
+    Timings,
 };
 pub use streaming::{ClientSession, ServerSession};

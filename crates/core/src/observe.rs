@@ -1,6 +1,6 @@
 //! Assembling a [`RunReport`] from a recorded DBDC run.
 //!
-//! [`crate::runtime::run_dbdc_recorded`] leaves a [`RecordingRecorder`]
+//! [`crate::runtime::run_dbdc_with`] leaves a [`RecordingRecorder`]
 //! holding the measured phase-span tree and one counter scope per
 //! protocol party. This module turns that raw capture plus the
 //! [`DbdcOutcome`] into the stable report the CLI emits: it injects the
@@ -13,10 +13,10 @@
 use crate::network::NetworkModel;
 use crate::params::DbdcParams;
 use crate::runtime::DbdcOutcome;
-use dbdc_geom::Label;
+use dbdc_geom::{Dataset, Label};
 use dbdc_obs::{
-    ClusterStats, Counters, DatasetInfo, NetworkCost, RecordingRecorder, RunReport, SiteStats,
-    Span, TransferStats,
+    ClusterStats, Counters, DatasetInfo, EnvFingerprint, NetworkCost, RecordingRecorder, RunReport,
+    SiteStats, Span, TransferStats,
 };
 
 /// The link presets a report prices the transfers with, in order.
@@ -89,16 +89,8 @@ pub fn dbdc_run_report(
     run_id: Option<String>,
 ) -> RunReport {
     let n_points: usize = outcome.site_sizes.iter().sum();
-    let mut report = RunReport::new(command)
-        .with_identity("standalone", run_id, "standalone")
-        .with_param("eps_local", params.eps_local)
-        .with_param("min_pts_local", params.min_pts_local)
-        .with_param("model", params.model.name())
-        .with_param("index", params.index.name())
-        .with_param("threads", params.threads)
-        .with_param("partitions", params.partitions)
-        .with_param("precision", params.precision.name())
-        .with_param("sites", outcome.n_sites);
+    let report = RunReport::new(command).with_identity("standalone", run_id, "standalone");
+    let mut report = with_protocol_params(report, params).with_param("sites", outcome.n_sites);
     report.dataset = Some(DatasetInfo {
         points: n_points,
         dim,
@@ -128,7 +120,7 @@ pub fn dbdc_run_report(
                 points: outcome.site_sizes[site],
                 representatives: counters.representatives as usize,
                 bytes_up: outcome.per_site_bytes_up[site],
-                local: outcome.timings.local[site],
+                local: outcome.timings.local[site].total,
                 relabel: outcome.timings.relabel[site],
                 counters,
             }
@@ -165,6 +157,66 @@ pub fn dbdc_run_report(
     report
 }
 
+/// Stamps the protocol parameters a site's local phase runs with on
+/// `report`: the local DBSCAN parameters, the model and index kinds,
+/// and the thread/partition/precision execution settings.
+pub fn with_protocol_params(report: RunReport, params: &DbdcParams) -> RunReport {
+    report
+        .with_param("eps_local", params.eps_local)
+        .with_param("min_pts_local", params.min_pts_local)
+        .with_param("model", params.model.name())
+        .with_param("index", params.index.name())
+        .with_param("threads", params.threads)
+        .with_param("partitions", params.partitions)
+        .with_param("precision", params.precision.name())
+}
+
+/// FNV-1a over the dataset's shape and exact coordinate bit patterns.
+/// Two runs with equal checksums processed exactly the same input, so
+/// merged fleet reports can confirm every site loaded the same file.
+pub fn dataset_checksum(data: &Dataset) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    };
+    eat(&(data.dim() as u64).to_le_bytes());
+    eat(&(data.len() as u64).to_le_bytes());
+    for p in data.iter() {
+        for &c in p {
+            eat(&c.to_bits().to_le_bytes());
+        }
+    }
+    format!("{h:016x}")
+}
+
+/// The producing environment: hardware parallelism, toolchain, git
+/// revision, and the checksum of the input data. Fields that cannot be
+/// determined (no `rustc`/`git` on PATH, detached tree) hold
+/// `"unknown"` rather than failing the run.
+pub fn env_fingerprint(dataset_checksum: String) -> EnvFingerprint {
+    let run = |cmd: &str, args: &[&str]| -> Option<String> {
+        let out = std::process::Command::new(cmd).args(args).output().ok()?;
+        if !out.status.success() {
+            return None;
+        }
+        let s = String::from_utf8(out.stdout).ok()?;
+        let s = s.trim();
+        (!s.is_empty()).then(|| s.to_string())
+    };
+    EnvFingerprint {
+        nproc: std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1),
+        rustc: run("rustc", &["--version"]).unwrap_or_else(|| "unknown".into()),
+        git_rev: run("git", &["rev-parse", "--short=12", "HEAD"])
+            .unwrap_or_else(|| "unknown".into()),
+        dataset_checksum,
+    }
+}
+
 /// A [`ClusterStats`] from a cluster count and a label slice.
 pub fn cluster_stats(clusters: usize, labels: &[Label]) -> ClusterStats {
     ClusterStats {
@@ -183,14 +235,15 @@ mod tests {
     use super::*;
     use crate::params::EpsGlobal;
     use crate::partition::Partitioner;
-    use crate::runtime::run_dbdc_recorded;
+    use crate::runtime::run_dbdc_with;
     use dbdc_datagen::dataset_c;
 
     fn recorded_outcome() -> (DbdcOutcome, RecordingRecorder) {
         let g = dataset_c(21);
         let p = DbdcParams::new(1.6, 5).with_eps_global(EpsGlobal::MultipleOfLocal(2.0));
         let rec = RecordingRecorder::new();
-        let outcome = run_dbdc_recorded(&g.data, &p, Partitioner::RandomEqual { seed: 3 }, 3, &rec);
+        let part = Partitioner::RandomEqual { seed: 3 };
+        let outcome = run_dbdc_with(&g.data, &p, part, 3, false, &rec);
         (outcome, rec)
     }
 
@@ -259,7 +312,7 @@ mod tests {
         let g = dataset_c(22);
         let p = DbdcParams::new(1.6, 5).with_eps_global(EpsGlobal::MultipleOfLocal(2.0));
         let rec = RecordingRecorder::new();
-        let with = run_dbdc_recorded(&g.data, &p, Partitioner::RoundRobin, 2, &rec);
+        let with = run_dbdc_with(&g.data, &p, Partitioner::RoundRobin, 2, false, &rec);
         let without = crate::runtime::run_dbdc(&g.data, &p, Partitioner::RoundRobin, 2);
         // Instrumentation must not change the clustering.
         assert_eq!(with.assignment, without.assignment);

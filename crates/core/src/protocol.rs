@@ -1,0 +1,185 @@
+//! The protocol steps of Section 3, each defined once.
+//!
+//! DBDC runs (1) local clustering and (2) local-model extraction on
+//! every site, (3) the global model on the server, and (4) relabeling
+//! on every site. Every driver — the in-process [`crate::runtime`] and
+//! the TCP site and server of `dbdc-net` — calls the functions here, so
+//! a step computes the same result, records the same counters and
+//! emits the same bytes whichever driver runs it:
+//!
+//! - [`local_phase`]: steps 1 and 2, then the wire encoding of the model;
+//! - [`global_step`]: step 3, then the wire encoding of the global model;
+//! - [`relabel_step`]: the decode of the broadcast model, then step 4.
+//!
+//! Drivers own only what differs between them: how a site's data and
+//! the models travel, and how the steps are scheduled and timed.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use dbdc_cluster::{
+    dbscan_with_scp, effective_partitions, effective_threads, par_dbscan_with_scp,
+    partitioned_dbscan_with_scp, DbscanParams, ScpResult,
+};
+use dbdc_geom::{Clustering, Dataset, Euclidean};
+use dbdc_index::BuildOptions;
+use dbdc_obs::{CounterSheet, Recorder, Span};
+
+use crate::global_model::{build_global_model_observed, GlobalModel};
+use crate::local_model::{build_local_model, LocalModel};
+use crate::params::DbdcParams;
+use crate::relabel::relabel_site_observed;
+use crate::wire::{self, WireError};
+
+/// Wall times of one site's local phase, total and by sub-phase.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LocalTimes {
+    /// The whole local phase, build through encode.
+    pub total: Duration,
+    /// Index construction. Zero when the site ran partitioned: each
+    /// partition builds its own index inside its [`LocalTimes::partitions`]
+    /// entry.
+    pub build: Duration,
+    /// Clustering over the built index(es), excluding a site-wide build.
+    pub cluster: Duration,
+    /// Local-model extraction.
+    pub extract: Duration,
+    /// Wire encoding of the local model.
+    pub encode: Duration,
+    /// Per-partition wall times; empty when the site ran unpartitioned.
+    pub partitions: Vec<Duration>,
+}
+
+impl LocalTimes {
+    /// The `local[site]` span run on `threads` OS threads, with
+    /// `build`, `cluster` (one `partition[j]` child per spatial
+    /// partition), `extract` and `encode` children.
+    pub fn to_span(&self, site: usize, threads: usize) -> Span {
+        let mut local =
+            Span::new(format!("local[{site}]"), self.total).with_threads(threads.max(1));
+        local.push(Span::new("build", self.build));
+        let mut cluster = Span::new("cluster", self.cluster);
+        for (j, &t) in self.partitions.iter().enumerate() {
+            cluster.push(Span::new(format!("partition[{j}]"), t));
+        }
+        local.push(cluster);
+        local.push(Span::new("extract", self.extract));
+        local.push(Span::new("encode", self.encode));
+        local
+    }
+}
+
+/// Steps 1 and 2 on site `site`: cluster, extract the model, encode it.
+/// Returns the site's clustering (which stays on the site for the
+/// relabel step), the encoded model bytes and the sub-phase walls. Work
+/// counters land in the recorder's `local[site]` scope.
+///
+/// With [`DbdcParams::partitions`] resolving above 1 the site runs the
+/// partitioned execution path (stripes + ε-halos + one private index
+/// per partition); the labels are identical either way, and the halo
+/// replication volume lands in the site's `halo_points` counter.
+pub fn local_phase(
+    site: u32,
+    site_data: &Dataset,
+    params: &DbdcParams,
+    rec: &dyn Recorder,
+) -> (ScpResult, Bytes, LocalTimes) {
+    let sheet = rec.sheet(&format!("local[{site}]"));
+    let eps_hist = rec.hist(&format!("local[{site}]/eps_range_ns"));
+    let t0 = Instant::now();
+    let dbscan_params = DbscanParams::new(params.eps_local, params.min_pts_local);
+    let partitions = effective_partitions(params.partitions, params.threads);
+    let (scp, t_build, partition_times) = if partitions > 1 {
+        let (scp, stats) = partitioned_dbscan_with_scp(
+            site_data,
+            params.index,
+            &dbscan_params,
+            partitions,
+            params.threads,
+            params.precision,
+            sheet.as_ref(),
+            eps_hist.as_ref(),
+        );
+        if let Some(s) = &sheet {
+            s.add_halo_points(stats.halo_points);
+        }
+        // Each partition builds its own index inside its timed span;
+        // there is no site-wide build to report separately.
+        (scp, Duration::ZERO, stats.partition_times)
+    } else {
+        let index = dbdc_index::build_index_opts(
+            params.index,
+            site_data,
+            Euclidean,
+            params.eps_local,
+            BuildOptions {
+                threads: effective_threads(params.threads),
+                precision: params.precision,
+            },
+            sheet.as_ref(),
+            eps_hist.as_ref(),
+        );
+        let t_build = t0.elapsed();
+        let scp = if params.threads == 1 {
+            dbscan_with_scp(site_data, index.as_ref(), &dbscan_params)
+        } else {
+            par_dbscan_with_scp(site_data, index.as_ref(), &dbscan_params, params.threads)
+        };
+        (scp, t_build, Vec::new())
+    };
+    let t_cluster = t0.elapsed();
+    let model: LocalModel = build_local_model(params.model, site_data, &scp, site);
+    let t_extract = t0.elapsed();
+    let encoded = wire::encode_local_model(&model).expect("local model fits the wire format");
+    let t_encode = t0.elapsed();
+    if let Some(s) = &sheet {
+        s.add_representatives(model.len() as u64);
+        s.add_bytes_sent(encoded.len() as u64);
+    }
+    let times = LocalTimes {
+        total: t_encode,
+        build: t_build,
+        cluster: t_cluster - t_build,
+        extract: t_extract - t_cluster,
+        encode: t_encode - t_extract,
+        partitions: partition_times,
+    };
+    (scp, encoded, times)
+}
+
+/// Step 3 on the server: clusters the representatives of every site's
+/// model into the global model and encodes it for the broadcast. The
+/// server-side DBSCAN work and the representative count land in `sheet`.
+pub fn global_step(
+    models: &[LocalModel],
+    params: &DbdcParams,
+    sheet: Option<&Arc<CounterSheet>>,
+) -> (GlobalModel, Bytes) {
+    let global = build_global_model_observed(models, params, sheet);
+    let encoded = wire::encode_global_model(&global).expect("global model fits the wire format");
+    if let Some(s) = sheet {
+        s.add_representatives(models.iter().map(LocalModel::len).sum::<usize>() as u64);
+    }
+    (global, encoded)
+}
+
+/// Step 4 on site `site`: decodes the broadcast global model and
+/// relabels the site's points (clustered locally as `local`) against
+/// it. The received bytes and the relabel work land in the recorder's
+/// `relabel[site]` scope.
+pub fn relabel_step(
+    site: u32,
+    site_data: &Dataset,
+    local: &Clustering,
+    encoded_global: &[u8],
+    rec: &dyn Recorder,
+) -> Result<(GlobalModel, Clustering), WireError> {
+    let sheet = rec.sheet(&format!("relabel[{site}]"));
+    let global = wire::decode_global_model(encoded_global)?;
+    if let Some(s) = &sheet {
+        s.add_bytes_received(encoded_global.len() as u64);
+    }
+    let labels = relabel_site_observed(site_data, local, &global, sheet.as_ref());
+    Ok((global, labels))
+}

@@ -7,25 +7,24 @@
 //! carried out all local clusterings sequentially ... the overall runtime
 //! was formed by adding the time needed for the global clustering to the
 //! maximum time needed for the local clusterings") or with one thread per
-//! site for wall-clock validation. Independently of the per-site driver,
-//! [`DbdcParams::threads`] selects how many worker threads each DBSCAN run
-//! uses internally via the deterministic parallel execution layer
-//! ([`mod@dbdc_cluster::par_dbscan`]); every combination produces the same
-//! clustering.
+//! site for wall-clock validation. The steps themselves live in
+//! [`crate::protocol`], shared with the TCP site and server. Independently
+//! of the per-site driver, [`DbdcParams::threads`] selects how many worker
+//! threads each DBSCAN run uses internally via the deterministic parallel
+//! execution layer ([`mod@dbdc_cluster::par_dbscan`]); every combination
+//! produces the same clustering.
 //!
 //! Local models travel through the wire codec in both modes, so the byte
 //! counts reported in [`DbdcOutcome`] are exact message sizes.
 
-use crate::global_model::{build_global_model_observed, GlobalModel};
-use crate::local_model::{build_local_model, LocalModel};
+use crate::global_model::GlobalModel;
+use crate::local_model::LocalModel;
 use crate::params::DbdcParams;
 use crate::partition::Partitioner;
-use crate::relabel::relabel_site_observed;
+use crate::protocol::{global_step, local_phase, relabel_step, LocalTimes};
 use crate::wire;
 use dbdc_cluster::{
-    dbscan, dbscan_with_scp, effective_partitions, effective_threads, par_dbscan_instrumented,
-    par_dbscan_with_scp, partitioned_dbscan_with_scp_observed, DbscanParams, DbscanResult,
-    ScpResult,
+    dbscan, effective_threads, par_dbscan_instrumented, DbscanParams, DbscanResult,
 };
 use dbdc_geom::{Clustering, Dataset, Euclidean, Label};
 use dbdc_index::BuildOptions;
@@ -48,34 +47,25 @@ pub struct PhaseThreads {
 /// Timings of all protocol phases.
 #[derive(Debug, Clone, Default)]
 pub struct Timings {
-    /// Wall time of each site's local clustering + model extraction.
-    pub local: Vec<Duration>,
+    /// Each site's local phase (cluster + model extraction + encoding),
+    /// total and by sub-phase.
+    pub local: Vec<LocalTimes>,
     /// Server-side global clustering (including model decode).
     pub global: Duration,
     /// Wall time of each site's relabeling.
     pub relabel: Vec<Duration>,
     /// Thread counts per phase.
     pub threads: PhaseThreads,
-    /// Per-site index-construction sub-phase, a breakdown of
-    /// [`Timings::local`]. Zero when the site ran partitioned (each
-    /// partition builds its own index inside [`Timings::partitions`]).
-    pub build: Vec<Duration>,
-    /// Per-site clustering sub-phase (DBSCAN over the built index,
-    /// excluding the index build), a breakdown of [`Timings::local`].
-    pub cluster: Vec<Duration>,
-    /// Per-site model-extraction sub-phase.
-    pub extract: Vec<Duration>,
-    /// Per-site wire-encoding sub-phase.
-    pub encode: Vec<Duration>,
-    /// Per-site, per-partition wall times of the partitioned local
-    /// phase (empty inner vectors when a site ran unpartitioned).
-    pub partitions: Vec<Vec<Duration>>,
 }
 
 impl Timings {
     /// The slowest local phase — the paper's distributed local cost.
     pub fn local_max(&self) -> Duration {
-        self.local.iter().copied().max().unwrap_or(Duration::ZERO)
+        self.local
+            .iter()
+            .map(|t| t.total)
+            .max()
+            .unwrap_or(Duration::ZERO)
     }
 
     /// The slowest relabel phase.
@@ -96,33 +86,12 @@ impl Timings {
 
     /// The timings as a [`Span`] tree: a `dbdc` root (walled at
     /// [`Timings::dbdc_total_with_relabel`]) with one `local[i]` child
-    /// per site — each broken into `build`/`cluster` (plus one
-    /// `partition[j]` per spatial partition when the site ran
-    /// partitioned) /`extract`/`encode` when the sub-phase vectors are
-    /// populated — then `global` and one `relabel[i]` per site.
+    /// per site ([`LocalTimes::to_span`]), then `global` and one
+    /// `relabel[i]` per site.
     pub fn to_span(&self) -> Span {
         let mut root = Span::new("dbdc", self.dbdc_total_with_relabel());
-        for (i, &t) in self.local.iter().enumerate() {
-            let mut local =
-                Span::new(format!("local[{i}]"), t).with_threads(self.threads.local.max(1));
-            if let (Some(&c), Some(&x), Some(&e)) =
-                (self.cluster.get(i), self.extract.get(i), self.encode.get(i))
-            {
-                local.push(Span::new(
-                    "build",
-                    self.build.get(i).copied().unwrap_or(Duration::ZERO),
-                ));
-                let mut cluster = Span::new("cluster", c);
-                if let Some(parts) = self.partitions.get(i) {
-                    for (j, &pt) in parts.iter().enumerate() {
-                        cluster.push(Span::new(format!("partition[{j}]"), pt));
-                    }
-                }
-                local.push(cluster);
-                local.push(Span::new("extract", x));
-                local.push(Span::new("encode", e));
-            }
-            root.push(local);
+        for (i, t) in self.local.iter().enumerate() {
+            root.push(t.to_span(i, self.threads.local));
         }
         root.push(Span::new("global", self.global).with_threads(self.threads.global.max(1)));
         for (i, &t) in self.relabel.iter().enumerate() {
@@ -193,96 +162,6 @@ impl DbdcOutcome {
     }
 }
 
-/// Wall times of one site's local phase, total and by sub-phase.
-#[derive(Debug, Clone)]
-struct LocalTimes {
-    total: Duration,
-    build: Duration,
-    cluster: Duration,
-    extract: Duration,
-    encode: Duration,
-    /// Per-partition wall times; empty when the site ran unpartitioned.
-    partitions: Vec<Duration>,
-}
-
-/// One site's local phase: cluster, extract the model, encode it.
-/// Returns the encoded model bytes together with the site's clustering
-/// (which stays on the site for the relabel phase). Work counters land
-/// in the recorder's `local[site]` scope.
-///
-/// With [`DbdcParams::partitions`] resolving above 1 the site runs the
-/// partitioned execution path (stripes + ε-halos + one private index
-/// per partition); the labels are identical either way, and the halo
-/// replication volume lands in the site's `halo_points` counter.
-fn local_phase(
-    site: u32,
-    site_data: &Dataset,
-    params: &DbdcParams,
-    rec: &dyn Recorder,
-) -> (ScpResult, bytes::Bytes, LocalTimes) {
-    let sheet = rec.sheet(&format!("local[{site}]"));
-    let eps_hist = rec.hist(&format!("local[{site}]/eps_range_ns"));
-    let t0 = Instant::now();
-    let dbscan_params = DbscanParams::new(params.eps_local, params.min_pts_local);
-    let partitions = effective_partitions(params.partitions, params.threads);
-    let (scp, t_build, partition_times) = if partitions > 1 {
-        let (scp, stats) = partitioned_dbscan_with_scp_observed(
-            site_data,
-            params.index,
-            &dbscan_params,
-            partitions,
-            params.threads,
-            params.precision,
-            sheet.as_ref(),
-            eps_hist.as_ref(),
-        );
-        if let Some(s) = &sheet {
-            s.add_halo_points(stats.halo_points);
-        }
-        // Each partition builds its own index inside its timed span;
-        // there is no site-wide build to report separately.
-        (scp, Duration::ZERO, stats.partition_times)
-    } else {
-        let index = dbdc_index::build_index_opts(
-            params.index,
-            site_data,
-            Euclidean,
-            params.eps_local,
-            BuildOptions {
-                threads: effective_threads(params.threads),
-                precision: params.precision,
-            },
-            sheet.as_ref(),
-            eps_hist.as_ref(),
-        );
-        let t_build = t0.elapsed();
-        let scp = if params.threads == 1 {
-            dbscan_with_scp(site_data, index.as_ref(), &dbscan_params)
-        } else {
-            par_dbscan_with_scp(site_data, index.as_ref(), &dbscan_params, params.threads)
-        };
-        (scp, t_build, Vec::new())
-    };
-    let t_cluster = t0.elapsed();
-    let model: LocalModel = build_local_model(params.model, site_data, &scp, site);
-    let t_extract = t0.elapsed();
-    let encoded = wire::encode_local_model(&model).expect("local model fits the wire format");
-    let t_encode = t0.elapsed();
-    if let Some(s) = &sheet {
-        s.add_representatives(model.len() as u64);
-        s.add_bytes_sent(encoded.len() as u64);
-    }
-    let times = LocalTimes {
-        total: t_encode,
-        build: t_build,
-        cluster: t_cluster - t_build,
-        extract: t_extract - t_cluster,
-        encode: t_encode - t_extract,
-        partitions: partition_times,
-    };
-    (scp, encoded, times)
-}
-
 /// Runs the full DBDC protocol sequentially (the paper's measurement mode).
 pub fn run_dbdc(
     data: &Dataset,
@@ -290,78 +169,31 @@ pub fn run_dbdc(
     partitioner: Partitioner,
     n_sites: usize,
 ) -> DbdcOutcome {
-    run_dbdc_recorded(data, params, partitioner, n_sites, &NoopRecorder)
+    run_dbdc_with(data, params, partitioner, n_sites, false, &NoopRecorder)
 }
 
-/// [`run_dbdc`] reporting into `rec`: per-site counter scopes
-/// (`local[i]`, `global`, `relabel[i]`) and the protocol phase-span
-/// tree. With a [`NoopRecorder`] this is exactly [`run_dbdc`].
-pub fn run_dbdc_recorded(
-    data: &Dataset,
-    params: &DbdcParams,
-    partitioner: Partitioner,
-    n_sites: usize,
-    rec: &dyn Recorder,
-) -> DbdcOutcome {
-    let assignment = partitioner.assign(data, n_sites);
-    let (parts, back) = data.partition(n_sites, &assignment);
-    let locals: Vec<(ScpResult, bytes::Bytes, LocalTimes)> = parts
-        .iter()
-        .enumerate()
-        .map(|(site, part)| local_phase(site as u32, part, params, rec))
-        .collect();
-    assemble(data, params, parts, back, locals, false, rec)
-}
-
-/// Runs the full DBDC protocol with one OS thread per site, each spawning
-/// [`DbdcParams::threads`] DBSCAN workers. The timings still record
-/// per-site wall time; the protocol result is identical to the sequential
-/// mode (asserted by tests).
-pub fn run_dbdc_threaded(
-    data: &Dataset,
-    params: &DbdcParams,
-    partitioner: Partitioner,
-    n_sites: usize,
-) -> DbdcOutcome {
-    run_dbdc_threaded_recorded(data, params, partitioner, n_sites, &NoopRecorder)
-}
-
-/// [`run_dbdc_threaded`] reporting into `rec`, like
-/// [`run_dbdc_recorded`]. Counter sheets are lock-free, so concurrent
+/// Runs the full DBDC protocol, reporting into `rec`: per-site counter
+/// scopes (`local[i]`, `global`, `relabel[i]`), phase-wall histograms
+/// and the protocol phase-span tree. With `threaded` every site runs
+/// its local and relabel steps on its own OS thread (each spawning
+/// [`DbdcParams::threads`] DBSCAN workers); otherwise sites run one
+/// after another, as in the paper's measurements. The protocol result
+/// is identical either way. Counter sheets are lock-free, so concurrent
 /// sites record without serializing on the recorder.
-pub fn run_dbdc_threaded_recorded(
+pub fn run_dbdc_with(
     data: &Dataset,
     params: &DbdcParams,
     partitioner: Partitioner,
     n_sites: usize,
-    rec: &dyn Recorder,
-) -> DbdcOutcome {
-    let assignment = partitioner.assign(data, n_sites);
-    let (parts, back) = data.partition(n_sites, &assignment);
-    let locals: Vec<(ScpResult, bytes::Bytes, LocalTimes)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = parts
-            .iter()
-            .enumerate()
-            .map(|(site, part)| scope.spawn(move || local_phase(site as u32, part, params, rec)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("site thread panicked"))
-            .collect()
-    });
-    assemble(data, params, parts, back, locals, true, rec)
-}
-
-/// Server + relabel phases shared by both modes.
-fn assemble(
-    data: &Dataset,
-    params: &DbdcParams,
-    parts: Vec<Dataset>,
-    back: Vec<Vec<u32>>,
-    locals: Vec<(ScpResult, bytes::Bytes, LocalTimes)>,
     threaded: bool,
     rec: &dyn Recorder,
 ) -> DbdcOutcome {
+    let assignment = partitioner.assign(data, n_sites);
+    let (parts, back) = data.partition(n_sites, &assignment);
+    let locals = per_site(&parts, threaded, |site, part| {
+        local_phase(site as u32, part, params, rec)
+    });
+
     // --- Server: decode the models, cluster the representatives. ---
     let global_sheet = rec.sheet("global");
     let t_global = Instant::now();
@@ -372,88 +204,49 @@ fn assemble(
         .map(|(_, b, _)| wire::decode_local_model(b).expect("self-encoded model decodes"))
         .collect();
     let n_representatives: usize = models.iter().map(|m| m.len()).sum();
-    let global = build_global_model_observed(&models, params, global_sheet.as_ref());
-    let encoded_global =
-        wire::encode_global_model(&global).expect("global model fits the wire format");
+    let (global, encoded_global) = global_step(&models, params, global_sheet.as_ref());
     let global_time = t_global.elapsed();
     let global_model_bytes = encoded_global.len();
     let bytes_down = global_model_bytes * parts.len();
     if let Some(s) = &global_sheet {
         s.add_bytes_received(bytes_up as u64);
         s.add_bytes_sent(bytes_down as u64);
-        s.add_representatives(n_representatives as u64);
     }
 
-    // --- Clients: relabel (sequentially or one thread per site). ---
-    let n_sites = parts.len();
-    let relabel_one = |site: usize, part: &Dataset| -> (Clustering, Duration) {
-        let sheet = rec.sheet(&format!("relabel[{site}]"));
+    // --- Clients: each site decodes the broadcast copy and relabels. ---
+    let relabeled = per_site(&parts, threaded, |site, part| {
         let t0 = Instant::now();
-        // Each site decodes the broadcast copy.
-        let g = wire::decode_global_model(&encoded_global).expect("self-encoded model decodes");
-        debug_assert_eq!(g.n_clusters, global.n_clusters);
-        if let Some(s) = &sheet {
-            s.add_bytes_received(global_model_bytes as u64);
-        }
-        let labels =
-            relabel_site_observed(part, &locals[site].0.dbscan.clustering, &g, sheet.as_ref());
+        let (_, labels) = relabel_step(
+            site as u32,
+            part,
+            &locals[site].0.dbscan.clustering,
+            &encoded_global,
+            rec,
+        )
+        .expect("self-encoded model decodes");
         (labels, t0.elapsed())
-    };
-    let relabeled: Vec<(Clustering, Duration)> = if threaded {
-        std::thread::scope(|scope| {
-            let relabel_one = &relabel_one;
-            let handles: Vec<_> = parts
-                .iter()
-                .enumerate()
-                .map(|(site, part)| scope.spawn(move || relabel_one(site, part)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("relabel thread panicked"))
-                .collect()
-        })
-    } else {
-        parts
-            .iter()
-            .enumerate()
-            .map(|(site, part)| relabel_one(site, part))
-            .collect()
-    };
-    let mut site_labels: Vec<Clustering> = Vec::with_capacity(n_sites);
-    let mut relabel_times: Vec<Duration> = Vec::with_capacity(n_sites);
-    for (labels, t) in relabeled {
-        site_labels.push(labels);
-        relabel_times.push(t);
-    }
+    });
 
     // --- Reassemble the full clustering in original order. ---
     let mut full = vec![Label::Noise; data.len()];
-    for (site, ids) in back.iter().enumerate() {
+    for (ids, (labels, _)) in back.iter().zip(&relabeled) {
         for (pos, &orig) in ids.iter().enumerate() {
-            full[orig as usize] = site_labels[site].label(pos as u32);
+            full[orig as usize] = labels.label(pos as u32);
         }
     }
     let assignment = Clustering::from_labels(full);
 
-    let workers = effective_threads(params.threads);
+    let n_sites = parts.len();
     let sites_in_flight = if threaded { n_sites.max(1) } else { 1 };
     let timings = Timings {
-        local: locals.iter().map(|(_, _, t)| t.total).collect(),
+        local: locals.into_iter().map(|(_, _, t)| t).collect(),
         global: global_time,
-        relabel: relabel_times,
+        relabel: relabeled.iter().map(|&(_, t)| t).collect(),
         threads: PhaseThreads {
-            local: sites_in_flight * workers,
+            local: sites_in_flight * effective_threads(params.threads),
             global: 1,
             relabel: sites_in_flight,
         },
-        build: locals.iter().map(|(_, _, t)| t.build).collect(),
-        cluster: locals.iter().map(|(_, _, t)| t.cluster).collect(),
-        extract: locals.iter().map(|(_, _, t)| t.extract).collect(),
-        encode: locals.iter().map(|(_, _, t)| t.encode).collect(),
-        partitions: locals
-            .iter()
-            .map(|(_, _, t)| t.partitions.clone())
-            .collect(),
     };
     if rec.is_enabled() {
         // Phase walls as distributions *across sites*: with many sites
@@ -461,7 +254,7 @@ fn assemble(
         // model charges for.
         if let Some(h) = rec.hist("phase/local_ns") {
             for t in &timings.local {
-                h.record_duration(*t);
+                h.record_duration(t.total);
             }
         }
         if let Some(h) = rec.hist("phase/relabel_ns") {
@@ -486,6 +279,34 @@ fn assemble(
         n_representatives,
         site_sizes: parts.iter().map(|p| p.len()).collect(),
     }
+}
+
+/// Runs `step` once per site, in site order: one after another, or with
+/// `threaded` one scoped OS thread per site.
+fn per_site<T: Send>(
+    parts: &[Dataset],
+    threaded: bool,
+    step: impl Fn(usize, &Dataset) -> T + Sync,
+) -> Vec<T> {
+    if !threaded {
+        return parts
+            .iter()
+            .enumerate()
+            .map(|(site, part)| step(site, part))
+            .collect();
+    }
+    std::thread::scope(|scope| {
+        let step = &step;
+        let handles: Vec<_> = parts
+            .iter()
+            .enumerate()
+            .map(|(site, part)| scope.spawn(move || step(site, part)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("site thread panicked"))
+            .collect()
+    })
 }
 
 /// The central baseline: one DBSCAN over the complete dataset with the
@@ -588,7 +409,14 @@ mod tests {
         let g = dataset_c(3);
         let p = params();
         let seq = run_dbdc(&g.data, &p, Partitioner::RandomEqual { seed: 9 }, 5);
-        let thr = run_dbdc_threaded(&g.data, &p, Partitioner::RandomEqual { seed: 9 }, 5);
+        let thr = run_dbdc_with(
+            &g.data,
+            &p,
+            Partitioner::RandomEqual { seed: 9 },
+            5,
+            true,
+            &NoopRecorder,
+        );
         assert_eq!(seq.assignment, thr.assignment);
         assert_eq!(seq.bytes_up, thr.bytes_up);
         assert_eq!(seq.n_representatives, thr.n_representatives);
@@ -604,11 +432,8 @@ mod tests {
         for threads in [0, 1, 2, 8] {
             let p = params().with_threads(threads);
             for threaded in [false, true] {
-                let out = if threaded {
-                    run_dbdc_threaded(&g.data, &p, Partitioner::RandomEqual { seed: 7 }, 3)
-                } else {
-                    run_dbdc(&g.data, &p, Partitioner::RandomEqual { seed: 7 }, 3)
-                };
+                let seed = Partitioner::RandomEqual { seed: 7 };
+                let out = run_dbdc_with(&g.data, &p, seed, 3, threaded, &NoopRecorder);
                 assert_eq!(
                     base.assignment, out.assignment,
                     "threads={threads} threaded={threaded}"
@@ -684,11 +509,13 @@ mod tests {
                 relabel: 1
             }
         );
-        let thr = run_dbdc_threaded(
+        let thr = run_dbdc_with(
             &g.data,
             &params().with_threads(2),
             Partitioner::RoundRobin,
             3,
+            true,
+            &NoopRecorder,
         );
         assert_eq!(
             thr.timings.threads,

@@ -4,9 +4,7 @@
 //! range query per point plus the SCP finalization queries, and wire
 //! byte counts equal to the real encoded message sizes.
 
-use dbdc::{
-    run_dbdc, run_dbdc_recorded, run_dbdc_threaded_recorded, DbdcParams, EpsGlobal, Partitioner,
-};
+use dbdc::{run_dbdc, run_dbdc_with, DbdcParams, EpsGlobal, Partitioner};
 use dbdc_cluster::{dbscan_with_scp, DbscanParams};
 use dbdc_geom::{Dataset, Euclidean};
 use dbdc_index::{IndexKind, LinearScan};
@@ -31,11 +29,12 @@ fn sequential_counters_match_linear_scan_ground_truth() {
     let g = dbdc_datagen::dataset_c(31);
     let p = params();
     let rec = RecordingRecorder::new();
-    let outcome = run_dbdc_recorded(
+    let outcome = run_dbdc_with(
         &g.data,
         &p,
         Partitioner::RandomEqual { seed: 11 },
         N_SITES,
+        false,
         &rec,
     );
 
@@ -91,11 +90,12 @@ fn threaded_replay_counters_count_physical_queries_once() {
     let g = dbdc_datagen::dataset_c(32);
     let p = params().with_threads(2);
     let rec = RecordingRecorder::new();
-    let outcome = run_dbdc_threaded_recorded(
+    let outcome = run_dbdc_with(
         &g.data,
         &p,
         Partitioner::RandomEqual { seed: 11 },
         N_SITES,
+        true,
         &rec,
     );
     let parts = partitioned(&g.data);
@@ -116,8 +116,8 @@ fn recording_does_not_change_the_outcome() {
     let p = params();
     let rec = RecordingRecorder::new();
     let seed = Partitioner::RandomEqual { seed: 5 };
-    let recorded = run_dbdc_recorded(&g.data, &p, seed, N_SITES, &rec);
-    let noop = run_dbdc_recorded(&g.data, &p, seed, N_SITES, &NoopRecorder);
+    let recorded = run_dbdc_with(&g.data, &p, seed, N_SITES, false, &rec);
+    let noop = run_dbdc_with(&g.data, &p, seed, N_SITES, false, &NoopRecorder);
     let plain = run_dbdc(&g.data, &p, seed, N_SITES);
     for other in [&noop, &plain] {
         assert_eq!(recorded.assignment, other.assignment);

@@ -16,7 +16,6 @@ pub type ClusterId = u32;
 
 /// The label of a single point: noise or a member of a cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Label {
     /// The point does not belong to any cluster.
     Noise,

@@ -27,7 +27,6 @@ use crate::rect::Rect;
 /// assert_eq!(bbox.hi(), &[3.0, 4.0]);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dataset {
     dim: usize,
     data: Vec<f64>,
@@ -284,22 +283,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn partition_rejects_bad_part() {
         sample().partition(2, &[0, 1, 2, 0]);
-    }
-}
-
-#[cfg(all(test, feature = "serde"))]
-mod serde_tests {
-    use super::*;
-
-    #[test]
-    fn dataset_serde_round_trip_via_debug_format() {
-        // serde_json is not in the sanctioned dependency set, so exercise
-        // the Serialize/Deserialize derives through a tiny hand-rolled
-        // serializer-free check: the derives must at least compile and the
-        // types implement the traits.
-        fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-        assert_serde::<Dataset>();
-        assert_serde::<crate::point::Point>();
-        assert_serde::<crate::clustering::Label>();
     }
 }

@@ -14,7 +14,6 @@ use std::fmt;
 /// which is appropriate here because points are only compared for identity
 /// (they are never the result of arithmetic).
 #[derive(Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     coords: Box<[f64]>,
 }

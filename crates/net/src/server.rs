@@ -25,8 +25,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use dbdc::protocol::global_step;
 use dbdc::wire;
-use dbdc::{build_global_model_observed, DbdcParams, GlobalModel, LocalModel};
+use dbdc::{DbdcParams, GlobalModel, LocalModel};
 use dbdc_obs::Recorder;
 
 use crate::error::NetError;
@@ -147,10 +148,12 @@ struct Shared {
 
 /// Runs a full DBDC serving session on `listener` (which should already
 /// be bound; pass a `127.0.0.1:0` bind for tests). Blocks until all
-/// sites confirm the broadcast or the deadline passes. Counter scopes
-/// land in `rec` under `server` (bytes up/down, representatives) and
-/// `net/server` (wire traffic, aggregate + per frame kind), with frame
-/// and per-connection latencies in the `net/*_ns` histograms.
+/// sites confirm the broadcast or the deadline passes. The global model
+/// is built by [`dbdc::protocol::global_step`], the in-process runtime's
+/// own step. Counter scopes land in `rec` under `server` (bytes up/down,
+/// representatives, global DBSCAN work) and `net/server` (wire traffic,
+/// aggregate + per frame kind), with frame and per-connection latencies
+/// in the `net/*_ns` histograms.
 pub fn serve(
     listener: TcpListener,
     opts: ServeOptions,
@@ -249,9 +252,6 @@ pub fn serve(
     let (global, encoded) = st.global.clone().expect("global built");
     let n_representatives = models.iter().map(|m| m.len()).sum();
     let per_site_bytes_up: Vec<usize> = st.bytes_up.iter().map(|b| b.expect("all in")).collect();
-    if let Some(s) = &sheet {
-        s.add_representatives(n_representatives as u64);
-    }
     let global_ready = st.upload_wall + st.global_wall;
     let broadcast_wall = st
         .all_acked_at
@@ -346,12 +346,9 @@ fn handle_connection(
                     .iter()
                     .map(|m| m.clone().expect("all in"))
                     .collect();
-                let global = build_global_model_observed(&models, &opts.params, sheet);
-                let encoded = wire::encode_global_model(&global)
-                    .expect("global model fits the wire format")
-                    .to_vec();
+                let (global, encoded) = global_step(&models, &opts.params, sheet);
                 st.global_wall = t0.elapsed();
-                st.global = Some((global, encoded));
+                st.global = Some((global, encoded.to_vec()));
                 shared.ready.notify_all();
             }
         }

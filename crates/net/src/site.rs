@@ -1,11 +1,11 @@
 //! A DBDC client site over real TCP.
 //!
 //! [`run_site`] runs the full client half of the protocol against a
-//! server address: local clustering, model extraction and wire
-//! encoding (identical to the in-process runtime — same index, same
-//! DBSCAN driver, same encoder, so the bytes on the wire are exactly
-//! the in-process message sizes), then the network session, then the
-//! relabel phase against the received global model.
+//! server address: the local phase ([`dbdc::protocol::local_phase`],
+//! the in-process runtime's own step, so the bytes on the wire are
+//! exactly the in-process message sizes), then the network session,
+//! then the relabel step ([`dbdc::protocol::relabel_step`]) against the
+//! received global model.
 //!
 //! The network session is retried as a whole under the site's
 //! [`RetryPolicy`]: the local phase is deterministic and the encoded
@@ -16,10 +16,10 @@
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
+use dbdc::protocol::{local_phase, relabel_step};
 use dbdc::wire;
-use dbdc::{build_local_model, DbdcParams, GlobalModel};
-use dbdc_cluster::{dbscan_with_scp, par_dbscan_with_scp, DbscanParams, ScpResult};
-use dbdc_geom::{Clustering, Dataset, Euclidean};
+use dbdc::{DbdcParams, GlobalModel, LocalTimes};
+use dbdc_geom::{Clustering, Dataset};
 use dbdc_obs::Recorder;
 
 use crate::error::NetError;
@@ -78,6 +78,9 @@ pub struct SiteOutcome {
     pub attempts: u32,
     /// Measured wall time of the local phase (cluster+extract+encode).
     pub local_wall: Duration,
+    /// The local phase's sub-phase walls; `local_phases.total` is
+    /// `local_wall`.
+    pub local_phases: LocalTimes,
     /// Measured wall time of the network session, connect through
     /// GOODBYE, across all attempts including backoff.
     pub session_wall: Duration,
@@ -115,10 +118,8 @@ pub fn run_site(
     opts: &SiteOptions,
     rec: &dyn Recorder,
 ) -> Result<SiteOutcome, NetError> {
-    // --- Local phase: identical to the in-process runtime. ---
-    let t0 = Instant::now();
-    let (scp, encoded) = local_phase(site_data, opts, rec);
-    let local_wall = t0.elapsed();
+    // --- Local phase: the in-process runtime's own step. ---
+    let (scp, encoded, local_phases) = local_phase(opts.site, site_data, &opts.params, rec);
 
     // --- Network session, retried as a whole. ---
     let metrics = WireMetrics::new(rec, &format!("net/site[{}]", opts.site));
@@ -128,13 +129,13 @@ pub fn run_site(
 
     // --- Relabel against the broadcast model. ---
     let t2 = Instant::now();
-    let sheet = rec.sheet(&format!("relabel[{}]", opts.site));
-    let global = wire::decode_global_model(&encoded_global)?;
-    if let Some(s) = &sheet {
-        s.add_bytes_received(encoded_global.len() as u64);
-    }
-    let labels =
-        dbdc::relabel_site_observed(site_data, &scp.dbscan.clustering, &global, sheet.as_ref());
+    let (global, labels) = relabel_step(
+        opts.site,
+        site_data,
+        &scp.dbscan.clustering,
+        &encoded_global,
+        rec,
+    )?;
     let relabel_wall = t2.elapsed();
 
     Ok(SiteOutcome {
@@ -142,47 +143,13 @@ pub fn run_site(
         bytes_up: encoded.len(),
         bytes_down: encoded_global.len(),
         attempts,
-        local_wall,
+        local_wall: local_phases.total,
+        local_phases,
         session_wall,
         relabel_wall,
         session_phases,
         global,
     })
-}
-
-/// Cluster, extract the local model, encode it — the same sequence, on
-/// the same public APIs, as the in-process runtime's local phase, so a
-/// networked run is byte- and label-identical to `run_dbdc` on the same
-/// partition.
-fn local_phase(
-    site_data: &Dataset,
-    opts: &SiteOptions,
-    rec: &dyn Recorder,
-) -> (ScpResult, bytes::Bytes) {
-    let params = &opts.params;
-    let sheet = rec.sheet(&format!("local[{}]", opts.site));
-    let eps_hist = rec.hist(&format!("local[{}]/eps_range_ns", opts.site));
-    let dbscan_params = DbscanParams::new(params.eps_local, params.min_pts_local);
-    let index = dbdc_index::build_index_instrumented(
-        params.index,
-        site_data,
-        Euclidean,
-        params.eps_local,
-        sheet.as_ref(),
-        eps_hist.as_ref(),
-    );
-    let scp = if params.threads == 1 {
-        dbscan_with_scp(site_data, index.as_ref(), &dbscan_params)
-    } else {
-        par_dbscan_with_scp(site_data, index.as_ref(), &dbscan_params, params.threads)
-    };
-    let model = build_local_model(params.model, site_data, &scp, opts.site);
-    let encoded = wire::encode_local_model(&model).expect("local model fits the wire format");
-    if let Some(s) = &sheet {
-        s.add_representatives(model.len() as u64);
-        s.add_bytes_sent(encoded.len() as u64);
-    }
-    (scp, encoded)
 }
 
 /// The session with retries: returns the received global model's wire

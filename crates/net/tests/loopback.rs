@@ -5,14 +5,15 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
-use dbdc::{run_dbdc, DbdcOutcome, DbdcParams, EpsGlobal, Partitioner};
+use dbdc::{run_dbdc, run_dbdc_with, DbdcOutcome, DbdcParams, EpsGlobal, Partitioner};
 use dbdc_datagen::dataset_c;
 use dbdc_geom::{Clustering, Dataset, Label};
+use dbdc_index::Precision;
 use dbdc_net::{
     run_site, serve, FaultPlan, FaultProxy, NetError, RetryPolicy, ServeOptions, ServerOutcome,
     SiteOptions, SiteOutcome,
 };
-use dbdc_obs::{NoopRecorder, RecordingRecorder};
+use dbdc_obs::{NoopRecorder, RecordingRecorder, Span};
 
 const N_SITES: usize = 4;
 
@@ -126,6 +127,94 @@ fn clean_loopback_matches_in_process_runtime() {
     // The measured phases are real walls now, not model outputs.
     assert!(server.upload_wall > Duration::ZERO);
     assert!(server.broadcast_wall > Duration::ZERO);
+}
+
+/// Every span name in the tree under `span`, depth first.
+fn span_names(span: &Span) -> Vec<String> {
+    let mut names = vec![span.name.clone()];
+    for child in &span.children {
+        names.extend(span_names(child));
+    }
+    names
+}
+
+/// The runtime and the TCP fleet run the same protocol steps: with the
+/// partitioned, threaded, f32 local phase both produce the same labels,
+/// bytes, per-site counters and local sub-phase spans.
+#[test]
+fn in_process_and_loopback_runs_agree_step_for_step() {
+    let g = dataset_c(37);
+    let p = params()
+        .with_partitions(2)
+        .with_threads(2)
+        .with_precision(Precision::F32);
+    let local_rec = RecordingRecorder::new();
+    let reference = run_dbdc_with(&g.data, &p, partitioner(), N_SITES, false, &local_rec);
+
+    let (parts, back) = split(&g.data);
+    let fleet_rec = RecordingRecorder::new();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("local addr");
+    let mut serve_opts = ServeOptions::new(N_SITES, p);
+    serve_opts.drain_window = Duration::from_millis(150);
+    let (server, sites) = std::thread::scope(|scope| {
+        let rec = &fleet_rec;
+        let server = scope.spawn(move || serve(listener, serve_opts, rec));
+        let handles: Vec<_> = parts
+            .iter()
+            .enumerate()
+            .map(|(site, part)| {
+                let opts = SiteOptions::new(site as u32, N_SITES as u32, p);
+                scope.spawn(move || run_site(addr, part, &opts, rec))
+            })
+            .collect();
+        let sites: Vec<SiteOutcome> = handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("site thread panicked")
+                    .expect("site completes")
+            })
+            .collect();
+        let server = server.join().expect("server thread panicked");
+        (server.expect("server completes"), sites)
+    });
+
+    assert_eq!(
+        reassemble(g.data.len(), &back, &sites),
+        reference.assignment
+    );
+    assert_eq!(server.per_site_bytes_up, reference.per_site_bytes_up);
+    assert_eq!(server.global_model_bytes, reference.global_model_bytes);
+    assert_eq!(server.global, reference.global);
+
+    let dbdc_span = local_rec
+        .spans()
+        .into_iter()
+        .find(|s| s.name == "dbdc")
+        .expect("the runtime records its span tree");
+    for (i, site) in sites.iter().enumerate() {
+        let local = local_rec.counters(&format!("local[{i}]"));
+        assert!(local.halo_points > 0, "site {i} ran partitioned");
+        assert_eq!(
+            fleet_rec.counters(&format!("local[{i}]")),
+            local,
+            "site {i}"
+        );
+        assert_eq!(
+            fleet_rec.counters(&format!("relabel[{i}]")),
+            local_rec.counters(&format!("relabel[{i}]")),
+            "site {i}"
+        );
+        let in_process = dbdc_span
+            .children
+            .iter()
+            .find(|c| c.name == format!("local[{i}]"))
+            .expect("one local span per site");
+        let over_tcp = site.local_phases.to_span(i, 1);
+        assert_eq!(span_names(&over_tcp), span_names(in_process), "site {i}");
+        assert!(span_names(in_process).contains(&"partition[1]".to_string()));
+    }
 }
 
 #[test]

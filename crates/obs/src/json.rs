@@ -1,8 +1,7 @@
 //! Minimal JSON tree, writer, and parser.
 //!
-//! The workspace builds offline — the vendored `serde` stand-in is an
-//! empty shim (see `vendor/README.md`) — so the [`RunReport`] schema is
-//! serialized by hand through this module. The subset is exactly what
+//! The workspace builds offline without `serde`, so the [`RunReport`]
+//! schema is serialized by hand through this module. The subset is exactly what
 //! the reports need: objects preserve insertion order (the schema is
 //! stable down to key order, which makes golden-file tests trivial),
 //! numbers are `f64` with integers written without a fractional part,

@@ -12,7 +12,7 @@
 //! ```
 
 use dbdc::{
-    q_dbdc, run_dbdc_threaded, wire, DbdcParams, EpsGlobal, LocalModelKind, NetworkModel,
+    q_dbdc, run_dbdc_with, wire, DbdcParams, EpsGlobal, LocalModelKind, NetworkModel,
     ObjectQuality, Partitioner,
 };
 
@@ -28,11 +28,13 @@ fn main() {
         .with_eps_global(EpsGlobal::MultipleOfLocal(2.0))
         .with_model(LocalModelKind::Scor);
 
-    let outcome = run_dbdc_threaded(
+    let outcome = run_dbdc_with(
         &sky.data,
         &params,
         Partitioner::RandomEqual { seed: 1969 },
         telescopes,
+        true,
+        &dbdc_obs::NoopRecorder,
     );
     println!(
         "global model: {} source groups from {} representatives",

@@ -2,7 +2,7 @@
 //! three data sets, both local models, sequential and threaded runtimes.
 
 use dbdc::{
-    central_dbscan, q_dbdc, run_dbdc, run_dbdc_threaded, DbdcParams, EpsGlobal, LocalModelKind,
+    central_dbscan, q_dbdc, run_dbdc, run_dbdc_with, DbdcParams, EpsGlobal, LocalModelKind,
     ObjectQuality, Partitioner,
 };
 use dbdc_datagen::{dataset_b, dataset_c, scaled_a};
@@ -78,7 +78,8 @@ fn threaded_and_sequential_agree_on_all_datasets() {
     ] {
         let params = params_for(&g);
         let seq = run_dbdc(&g.data, &params, Partitioner::RandomEqual { seed: 8 }, 5);
-        let thr = run_dbdc_threaded(&g.data, &params, Partitioner::RandomEqual { seed: 8 }, 5);
+        let part = Partitioner::RandomEqual { seed: 8 };
+        let thr = run_dbdc_with(&g.data, &params, part, 5, true, &dbdc_obs::NoopRecorder);
         assert_eq!(seq.assignment, thr.assignment, "mismatch on {name}");
         assert_eq!(seq.bytes_up, thr.bytes_up, "byte mismatch on {name}");
     }
