@@ -92,7 +92,8 @@ pub fn write_dataset(
             None => writeln!(out, "{}", coords.join(","))?,
         }
     }
-    Ok(())
+    // A buffered writer dropped unflushed would discard the last error.
+    out.flush()
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use dbdc_cli::opts::{
     build_params, finish_report, no_positionals, parse_density, parse_eps_global_spec, parse_link,
     parse_partitioner, parse_sites, quality_stats, read_input, wants_report, CliResult,
 };
-use dbdc_cli::{csv, netcmd};
+use dbdc_cli::{csv, exit_code, netcmd, out, outln};
 use dbdc_geom::Dataset;
 use dbdc_obs::{fmt_ms, DatasetInfo, NoopRecorder, Recorder, RecordingRecorder, RunReport, Span};
 use std::fs::File;
@@ -46,19 +46,15 @@ fn main() -> ExitCode {
         "proxy" => netcmd::cmd_proxy(rest),
         "watch" => netcmd::cmd_watch(rest),
         "report" => cmd_report(rest),
-        "--help" | "-h" | "help" => {
-            println!("{USAGE}");
-            Ok(())
-        }
+        "--help" | "-h" | "help" => usage(),
         other => Err(format!("unknown command {other:?}\n{USAGE}").into()),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    exit_code(result)
+}
+
+fn usage() -> CliResult {
+    outln!("{USAGE}");
+    Ok(())
 }
 
 const USAGE: &str = "\
@@ -180,7 +176,7 @@ fn write_output(
     if let Some(path) = args.get("out") {
         let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
         csv::write_dataset(BufWriter::new(file), data, Some(labels))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }
@@ -203,7 +199,7 @@ fn cmd_generate(raw: &[String]) -> CliResult {
         other => return Err(format!("--set expects a|b|c, got {other:?}").into()),
     };
     let gen_time = t0.elapsed();
-    println!(
+    outln!(
         "generated {} points, {} true clusters (suggested: --eps {} --min-pts {})",
         g.data.len(),
         g.truth.n_clusters(),
@@ -217,7 +213,7 @@ fn cmd_generate(raw: &[String]) -> CliResult {
         Some(path) => {
             let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
             csv::write_dataset(BufWriter::new(file), &g.data, truth)?;
-            println!("wrote {path}");
+            outln!("wrote {path}");
         }
         None => csv::write_dataset(std::io::stdout().lock(), &g.data, truth)?,
     }
@@ -262,7 +258,7 @@ fn cmd_central(raw: &[String]) -> CliResult {
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
     let (result, elapsed) = central_dbscan_recorded(&data, &params, recorder);
-    println!(
+    outln!(
         "central DBSCAN: {} points -> {} clusters, {} noise in {}",
         data.len(),
         result.clustering.n_clusters(),
@@ -327,24 +323,25 @@ fn cmd_run(raw: &[String]) -> CliResult {
     let rec = RecordingRecorder::new();
     let recorder: &dyn Recorder = if wants { &rec } else { &NoopRecorder };
     let outcome = run_dbdc_with(&data, &params, part, sites, threaded, recorder);
-    println!(
+    outln!(
         "DBDC({}) over {sites} sites: {} clusters, {} noise",
         params.model.name(),
         outcome.assignment.n_clusters(),
         outcome.assignment.n_noise()
     );
-    println!(
+    outln!(
         "representatives: {} ({:.1}% of data); transfer: {} B up, {} B down",
         outcome.n_representatives,
         100.0 * outcome.representative_fraction(),
         outcome.bytes_up,
         outcome.bytes_down
     );
-    println!(
+    outln!(
         "per-site upload bytes: {:?}; global model: {} B per site",
-        outcome.per_site_bytes_up, outcome.global_model_bytes
+        outcome.per_site_bytes_up,
+        outcome.global_model_bytes
     );
-    println!(
+    outln!(
         "timings: local max {}, global {}, total {}",
         fmt_ms(outcome.timings.local_max()),
         fmt_ms(outcome.timings.global),
@@ -361,16 +358,18 @@ fn cmd_run(raw: &[String]) -> CliResult {
         .as_ref()
         .map(|o| label_agreement(&outcome.assignment, &o.assignment));
     if let Some(frac) = agreement {
-        println!("f32 vs f64 oracle: {:.2}% label agreement", 100.0 * frac);
+        outln!("f32 vs f64 oracle: {:.2}% label agreement", 100.0 * frac);
     }
     if wants {
         // DBCV is the ground-truth-free validity of the final labeling;
         // computed only when a report is requested (it reads the whole
         // dataset again).
         let quality = quality_stats(&data, &outcome.assignment, params.index, recorder);
-        println!(
+        outln!(
             "quality: DBCV {:+.4} over {} cluster(s), {} noise",
-            quality.dbcv, quality.clusters, quality.noise
+            quality.dbcv,
+            quality.clusters,
+            quality.noise
         );
         let mut report = dbdc_run_report(
             "run",
@@ -384,9 +383,11 @@ fn cmd_run(raw: &[String]) -> CliResult {
         if let (Some(frac), Some(o)) = (agreement, &oracle) {
             let oracle_q = quality_stats(&data, &o.assignment, params.index, &NoopRecorder);
             let delta = quality.dbcv - oracle_q.dbcv;
-            println!(
+            outln!(
                 "f32 DBCV {:+.4} vs f64 oracle {:+.4} (delta {:+.4})",
-                quality.dbcv, oracle_q.dbcv, delta
+                quality.dbcv,
+                oracle_q.dbcv,
+                delta
             );
             report
                 .params
@@ -475,7 +476,7 @@ fn cmd_compare(raw: &[String]) -> CliResult {
         },
     );
     let p2 = q_dbdc(&outcome.assignment, &central.clustering, ObjectQuality::PII);
-    println!(
+    outln!(
         "central: {} clusters in {} | DBDC({}): {} clusters in {} (speedup {:.2}x)",
         central.clustering.n_clusters(),
         fmt_ms(central_time),
@@ -484,16 +485,17 @@ fn cmd_compare(raw: &[String]) -> CliResult {
         fmt_ms(outcome.timings.dbdc_total()),
         central_time.as_secs_f64() / outcome.timings.dbdc_total().as_secs_f64()
     );
-    println!(
+    outln!(
         "quality: P^I {:.1}%  P^II {:.1}%  | representatives {:.1}%  bytes up {}",
         100.0 * p1.q,
         100.0 * p2.q,
         100.0 * outcome.representative_fraction(),
         outcome.bytes_up
     );
-    println!(
+    outln!(
         "per-site upload bytes: {:?}; global model: {} B per site",
-        outcome.per_site_bytes_up, outcome.global_model_bytes
+        outcome.per_site_bytes_up,
+        outcome.global_model_bytes
     );
     if wants {
         // The paper's reference-based breakdown becomes counters so
@@ -574,9 +576,14 @@ fn cmd_tune(raw: &[String]) -> CliResult {
     let t0 = Instant::now();
     let mut rows = Vec::with_capacity(candidates.len());
     let mut spans = Vec::with_capacity(candidates.len());
-    println!(
+    outln!(
         "{:<12} {:>8} {:>7} {:>7} {:>10} {:>8}",
-        "eps_global", "clusters", "noise", "reps%", "bytes_up", "DBCV"
+        "eps_global",
+        "clusters",
+        "noise",
+        "reps%",
+        "bytes_up",
+        "DBCV"
     );
     for (name, eg) in &candidates {
         let params = base.with_eps_global(*eg);
@@ -586,7 +593,7 @@ fn cmd_tune(raw: &[String]) -> CliResult {
         // same procedure works on unlabeled production data.
         let quality = quality_stats(&data, &outcome.assignment, params.index, recorder);
         spans.push(Span::new(format!("candidate[{name}]"), c0.elapsed()));
-        println!(
+        outln!(
             "{:<12} {:>8} {:>7} {:>6.1}% {:>10} {:>+8.4}",
             name,
             quality.clusters,
@@ -611,7 +618,7 @@ fn cmd_tune(raw: &[String]) -> CliResult {
         .map(|(i, _)| i)
         .unwrap_or(0);
     let (best_name, best_quality) = &rows[best];
-    println!(
+    outln!(
         "selected --eps-global {best_name} (DBCV {:+.4})",
         best_quality.dbcv
     );
@@ -675,7 +682,7 @@ fn cmd_plot(raw: &[String]) -> CliResult {
             let params = DbdcParams::new(eps, min_pts)
                 .with_index(args.get_or("index", dbdc_index::IndexKind::RStar)?);
             let (result, _) = central_dbscan_recorded(&data, &params, recorder);
-            println!(
+            outln!(
                 "clustered: {} clusters, {} noise",
                 result.clustering.n_clusters(),
                 result.clustering.n_noise()
@@ -696,7 +703,7 @@ fn cmd_plot(raw: &[String]) -> CliResult {
     );
     let path = args.require("out")?;
     std::fs::write(path, svg).map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {path}");
+    outln!("wrote {path}");
     if wants {
         let mut report = simple_report(
             "plot",
@@ -738,8 +745,8 @@ fn cmd_suggest(raw: &[String]) -> CliResult {
     );
     let kd = dbdc_cluster::k_distance(&data, index.as_ref(), k);
     let kd_time = t0.elapsed();
-    println!("sorted {k}-distance curve: {}", kd.sparkline(60));
-    println!(
+    outln!("sorted {k}-distance curve: {}", kd.sparkline(60));
+    outln!(
         "max {:.4}  p10 {:.4}  median {:.4}  p90 {:.4}  min {:.4}",
         kd.quantile(0.0),
         kd.quantile(0.1),
@@ -747,7 +754,7 @@ fn cmd_suggest(raw: &[String]) -> CliResult {
         kd.quantile(0.9),
         kd.quantile(1.0)
     );
-    println!(
+    outln!(
         "suggested: --eps {:.4} --min-pts {} (knee of the curve)",
         kd.knee(),
         k + 1
@@ -812,7 +819,7 @@ fn cmd_stream(raw: &[String]) -> CliResult {
                 }
             }
             let snap = server.snapshot();
-            println!(
+            outln!(
                 "after {:>7} points: {} global clusters from {} representatives ({} transmissions)",
                 i + 1,
                 snap.n_clusters,
@@ -822,7 +829,7 @@ fn cmd_stream(raw: &[String]) -> CliResult {
         }
     }
     let possible = batches * sites;
-    println!(
+    outln!(
         "drift gating sent {transmissions} of {possible} possible models ({:.0}% saved)",
         100.0 * (1.0 - transmissions as f64 / possible.max(1) as f64)
     );
@@ -948,10 +955,10 @@ fn cmd_report(raw: &[String]) -> CliResult {
     }
     if args.switch("hist") {
         // Distributions only; the full render below would repeat them.
-        print!("{}", dbdc_obs::report::render_hists(&report.hists));
+        out!("{}", dbdc_obs::report::render_hists(&report.hists));
         return Ok(());
     }
-    print!("{}", report.render());
+    out!("{}", report.render());
     Ok(())
 }
 
@@ -1008,7 +1015,7 @@ fn cmd_report_merge(args: &Args) -> CliResult {
         eprintln!("warning: {w}");
     }
     std::fs::write(out, merged.to_json_string()).map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!(
+    outln!(
         "merged 1 server + {} site report(s) into {out}{}",
         sites.len(),
         if warnings.is_empty() {
@@ -1036,7 +1043,7 @@ fn cmd_report_timeline(args: &Args) -> CliResult {
         .unwrap_or(0);
     std::fs::write(out, trace.to_string_pretty())
         .map_err(|e| format!("cannot write {out}: {e}"))?;
-    println!("wrote {out} ({events} events); open in chrome://tracing or ui.perfetto.dev");
+    outln!("wrote {out} ({events} events); open in chrome://tracing or ui.perfetto.dev");
     Ok(())
 }
 
@@ -1073,11 +1080,11 @@ fn cmd_report_diff(args: &Args) -> CliResult {
         }
     }
     if rows.is_empty() {
-        println!("no cells to compare (baseline has no hists or quality)");
+        outln!("no cells to compare (baseline has no hists or quality)");
         return Ok(());
     }
     for row in &rows {
-        println!("{}", row.render());
+        outln!("{}", row.render());
     }
     let failures = rows.iter().filter(|r| r.outcome.is_failure()).count();
     if failures > 0 {
@@ -1087,6 +1094,6 @@ fn cmd_report_diff(args: &Args) -> CliResult {
         )
         .into());
     }
-    println!("ok: {} cell(s) within tolerance of {old_path}", rows.len());
+    outln!("ok: {} cell(s) within tolerance of {old_path}", rows.len());
     Ok(())
 }

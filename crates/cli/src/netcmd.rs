@@ -21,6 +21,7 @@ use crate::opts::{
     build_params, finish_report, no_positionals, parse_partitioner, parse_sites, quality_stats,
     read_input, wants_report, CliResult,
 };
+use crate::{out, outln};
 use dbdc::observe::{dataset_checksum, env_fingerprint, with_protocol_params};
 use dbdc_cluster::effective_threads;
 use dbdc_geom::{Clustering, Dataset, Label};
@@ -132,7 +133,7 @@ fleet exited).";
 /// broadcast the global model, report measured transfer walls.
 pub fn cmd_serve(raw: &[String]) -> CliResult {
     if wants_help(raw) {
-        println!("{SERVE_USAGE}");
+        outln!("{SERVE_USAGE}");
         return Ok(());
     }
     let args = Args::parse(
@@ -162,7 +163,7 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
     let bind = args.get("bind").unwrap_or("127.0.0.1:0");
     let listener = TcpListener::bind(bind).map_err(|e| format!("cannot bind {bind}: {e}"))?;
     let addr = listener.local_addr()?;
-    println!("dbdc-server listening on {addr} for {n_sites} site(s)");
+    outln!("dbdc-server listening on {addr} for {n_sites} site(s)");
     if let Some(path) = args.get("addr-file") {
         write_addr_file(path, addr)?;
     }
@@ -209,15 +210,18 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
     };
 
     let bytes_up: usize = outcome.per_site_bytes_up.iter().sum();
-    println!(
+    outln!(
         "served {n_sites} site(s): global model {} clusters from {} representatives",
-        outcome.global.n_clusters, outcome.n_representatives
+        outcome.global.n_clusters,
+        outcome.n_representatives
     );
-    println!(
+    outln!(
         "transfer: {} B up ({:?} per site), {} B down per site",
-        bytes_up, outcome.per_site_bytes_up, outcome.global_model_bytes
+        bytes_up,
+        outcome.per_site_bytes_up,
+        outcome.global_model_bytes
     );
-    println!(
+    outln!(
         "measured walls: upload {}, global {}, broadcast {} ({} connection(s))",
         fmt_ms(outcome.upload_wall),
         fmt_ms(outcome.global_wall),
@@ -282,9 +286,10 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
                     .collect(),
             );
             let quality = quality_stats(&rep_data, &labels, params.index, recorder);
-            println!(
+            outln!(
                 "quality: global-model DBCV {:+.4} over {} cluster(s)",
-                quality.dbcv, quality.clusters
+                quality.dbcv,
+                quality.clusters
             );
             report.scopes = rec.scopes();
             report.quality = Some(quality);
@@ -298,7 +303,7 @@ pub fn cmd_serve(raw: &[String]) -> CliResult {
 /// protocol against the server, optionally write the final labels.
 pub fn cmd_site(raw: &[String]) -> CliResult {
     if wants_help(raw) {
-        println!("{SITE_USAGE}");
+        outln!("{SITE_USAGE}");
         return Ok(());
     }
     let args = Args::parse(
@@ -399,14 +404,14 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
         }
     };
 
-    println!(
+    outln!(
         "site {site}/{n_sites}: {} points, {} B up, {} B down, {} attempt(s)",
         site_data.len(),
         outcome.bytes_up,
         outcome.bytes_down,
         outcome.attempts
     );
-    println!(
+    outln!(
         "measured walls: local {}, session {}, relabel {}",
         fmt_ms(outcome.local_wall),
         fmt_ms(outcome.session_wall),
@@ -415,7 +420,7 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
 
     if let Some(path) = args.get("out") {
         write_labels(path, origin_ids, &outcome.labels)?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
 
     if wants {
@@ -473,9 +478,11 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
         // its own partition — the per-site quality `report merge`
         // collects into the fleet report's per_site list.
         let quality = quality_stats(&site_data, &outcome.labels, params.index, recorder);
-        println!(
+        outln!(
             "quality: local DBCV {:+.4} over {} cluster(s), {} noise",
-            quality.dbcv, quality.clusters, quality.noise
+            quality.dbcv,
+            quality.clusters,
+            quality.noise
         );
         report.scopes = rec.scopes();
         report.quality = Some(quality);
@@ -489,7 +496,7 @@ pub fn cmd_site(raw: &[String]) -> CliResult {
 /// without writing Rust.
 pub fn cmd_proxy(raw: &[String]) -> CliResult {
     if wants_help(raw) {
-        println!("{PROXY_USAGE}");
+        outln!("{PROXY_USAGE}");
         return Ok(());
     }
     let args = Args::parse(
@@ -544,7 +551,7 @@ pub fn cmd_proxy(raw: &[String]) -> CliResult {
         Arc::clone(&rec),
         Box::new(|| true),
     )?;
-    println!("dbdc proxy forwarding {} -> {upstream}", proxy.addr());
+    outln!("dbdc proxy forwarding {} -> {upstream}", proxy.addr());
     if let Some(path) = args.get("proxy-addr-file") {
         write_addr_file(path, proxy.addr())?;
     }
@@ -554,7 +561,7 @@ pub fn cmd_proxy(raw: &[String]) -> CliResult {
     proxy.shutdown();
     let wall = t0.elapsed();
     let stats = proxy.stats();
-    println!(
+    outln!(
         "proxy: forwarded {}, dropped {}, delayed {}, truncated {}, bitflipped {}",
         stats.forwarded.load(Ordering::Relaxed),
         stats.dropped.load(Ordering::Relaxed),
@@ -580,7 +587,7 @@ pub fn cmd_proxy(raw: &[String]) -> CliResult {
 /// snapshots, and render a live rates table.
 pub fn cmd_watch(raw: &[String]) -> CliResult {
     if wants_help(raw) {
-        println!("{WATCH_USAGE}");
+        outln!("{WATCH_USAGE}");
         return Ok(());
     }
     let args = Args::parse(raw, &["interval", "once"])?;
@@ -611,24 +618,23 @@ pub fn cmd_watch(raw: &[String]) -> CliResult {
             }
         }
         if once {
-            print!("{frame}");
+            out!("{frame}");
             if up == 0 {
                 return Err("watch: no admin endpoint reachable".into());
             }
             return Ok(());
         }
         // Continuous mode repaints in place (clear screen, home cursor).
-        print!(
+        out!(
             "\x1b[2J\x1b[Hdbdc watch — {up}/{} peer(s) up, every {:?}\n\n{frame}",
             addrs.len(),
             interval
         );
-        use std::io::Write as _;
-        let _ = std::io::stdout().flush();
+        std::io::stdout().flush()?;
         if up == 0 {
             all_down_ticks += 1;
             if all_down_ticks >= 3 {
-                println!("all peers unreachable for {all_down_ticks} ticks; fleet has exited");
+                outln!("all peers unreachable for {all_down_ticks} ticks; fleet has exited");
                 return Ok(());
             }
         } else {
@@ -753,7 +759,7 @@ fn spawn_admin(
     };
     let admin = AdminServer::spawn(addr, state)
         .map_err(|e| format!("cannot bind admin address {addr}: {e}"))?;
-    println!("admin telemetry on http://{}/metrics", admin.addr());
+    outln!("admin telemetry on http://{}/metrics", admin.addr());
     Ok(Some(admin))
 }
 
@@ -768,7 +774,7 @@ fn write_addr_file(path: &str, addr: SocketAddr) -> CliResult {
     let tmp = format!("{path}.tmp");
     std::fs::write(&tmp, addr.to_string()).map_err(|e| format!("cannot write {tmp}: {e}"))?;
     std::fs::rename(&tmp, path).map_err(|e| format!("cannot rename {tmp} to {path}: {e}"))?;
-    println!("wrote {path}");
+    outln!("wrote {path}");
     Ok(())
 }
 

@@ -3,6 +3,7 @@
 
 use crate::args::Args;
 use crate::csv;
+use crate::{out, outln};
 use dbdc::{DbdcParams, EpsGlobal, LocalModelKind, Partitioner};
 use dbdc_cluster::dbcv::{dbcv_with, CorePath};
 use dbdc_geom::{Clustering, Dataset, Euclidean};
@@ -53,12 +54,12 @@ pub fn wants_report(args: &Args) -> bool {
 /// `--metrics-out FILE` writes the JSON.
 pub fn finish_report(args: &Args, report: &RunReport) -> CliResult {
     if args.switch("trace") {
-        print!("{}", report.render());
+        out!("{}", report.render());
     }
     if let Some(path) = args.get("metrics-out") {
         std::fs::write(path, report.to_json_string())
             .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("wrote {path}");
+        outln!("wrote {path}");
     }
     Ok(())
 }

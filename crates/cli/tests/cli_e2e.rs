@@ -666,3 +666,31 @@ fn tune_selects_at_least_the_default_eps_global() {
 
     let _ = std::fs::remove_file(&csv);
 }
+
+#[test]
+fn closed_stdout_pipe_is_a_clean_exit() {
+    // `dbdc-cli … | head -1`: the reader goes away before the command
+    // prints. That must end the command quietly with status 0, not in a
+    // "failed printing to stdout" panic.
+    let csv = tmp("pipe.csv");
+    assert!(bin()
+        .args(["generate", "--set", "c", "--seed", "4", "--out"])
+        .arg(&csv)
+        .status()
+        .expect("binary runs")
+        .success());
+    let mut child = bin()
+        .args(["tune", "--input"])
+        .arg(&csv)
+        .args(["--eps", "1.2", "--min-pts", "5", "--sites", "3"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "tune on a closed pipe: {out:?}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let _ = std::fs::remove_file(&csv);
+}

@@ -7,7 +7,7 @@
 //! narrowing applied in a different order — fails the equality.
 
 use dbdc_geom::{Dataset, Euclidean, Precision};
-use dbdc_index::{GridIndex, KdTree, RStarTree};
+use dbdc_index::{GridIndex, KdTree, NeighborIndex, RStarTree};
 use proptest::prelude::*;
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
@@ -42,15 +42,27 @@ proptest! {
     }
 
     /// R*-tree flat arenas are bit-identical across thread counts,
-    /// under both precisions.
+    /// under both precisions, and kNN answers (ids and distance bits)
+    /// are identical for every `(threads, precision)` build: kNN reads
+    /// exact f64 distances, never the narrowed leaf blocks.
     #[test]
     fn rstar_arenas_bit_identical(data in arb_dataset()) {
+        let knn_bits = |tree: &RStarTree<'_, Euclidean>| -> Vec<(u32, u64)> {
+            [[0.0, 0.0], [37.5, -12.25], [-200.0, 90.0]]
+                .iter()
+                .flat_map(|q| tree.knn(q, 7))
+                .map(|(i, d)| (i, d.to_bits()))
+                .collect()
+        };
+        let oracle = knn_bits(&RStarTree::bulk_load(&data, Euclidean));
         for precision in [Precision::F64, Precision::F32] {
             let seq = RStarTree::bulk_load_opts(&data, Euclidean, 1, precision);
-            for threads in [2usize, 3, 8] {
+            for threads in [1usize, 2, 3, 8] {
                 let par = RStarTree::bulk_load_opts(&data, Euclidean, threads, precision);
                 prop_assert_eq!(seq.arena_bits(), par.arena_bits(),
                     "r* arenas differ at {} threads ({:?})", threads, precision);
+                prop_assert_eq!(&oracle, &knn_bits(&par),
+                    "r* knn differs at {} threads ({:?})", threads, precision);
             }
         }
     }
