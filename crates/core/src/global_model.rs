@@ -17,7 +17,7 @@ use crate::local_model::LocalModel;
 use crate::params::DbdcParams;
 use dbdc_cluster::{dbscan, DbscanParams};
 use dbdc_geom::{Dataset, Label, Point};
-use dbdc_index::LinearScan;
+use dbdc_index::RStarTree;
 
 /// A representative annotated with its global cluster id.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,9 +105,11 @@ pub fn build_global_model_observed(
     let labels = if points.is_empty() {
         Vec::new()
     } else {
-        // The representative set is small (a fraction of the data), so the
-        // linear-scan backend is the right tool here.
-        let mut idx = LinearScan::new(&points, dbdc_geom::Euclidean);
+        // The same STR R*-tree the sites cluster with. The labels do not
+        // depend on the backend: `dbscan` finishes each cluster before it
+        // starts the next, so a border representative joins the first
+        // cluster that reaches it whatever order range results come in.
+        let mut idx = RStarTree::bulk_load(&points, dbdc_geom::Euclidean);
         if let Some(s) = sheet {
             idx = idx.observed(s.clone());
         }
@@ -250,6 +252,116 @@ mod tests {
         assert!(g.reps.is_empty());
         let g = build_global_model(&[model(0, vec![])], &params);
         assert_eq!(g.n_clusters, 0);
+    }
+
+    /// Reference for [`build_global_model`]: the same steps over the
+    /// brute-force linear scan. Also returns how many representatives
+    /// ended up as border points of a global cluster.
+    fn linear_scan_oracle(models: &[LocalModel], params: &DbdcParams) -> (GlobalModel, usize) {
+        use dbdc_geom::Euclidean;
+        use dbdc_index::LinearScan;
+
+        let reps: Vec<_> = models
+            .iter()
+            .flat_map(|m| m.reps.iter().map(move |r| (m.site, r)))
+            .collect();
+        let dim = models[0].dim;
+        let mut points = Dataset::new(dim);
+        for (_, r) in &reps {
+            points.push(r.point.coords());
+        }
+        let eps_global = params.resolve_eps_global(reps.iter().map(|(_, r)| &r.eps_range));
+        let result = dbscan(
+            &points,
+            &LinearScan::new(&points, Euclidean),
+            &DbscanParams::new(eps_global, params.min_pts_global),
+        );
+        let labels = result.clustering.labels();
+        let borders = labels
+            .iter()
+            .zip(&result.core)
+            .filter(|(l, &core)| !l.is_noise() && !core)
+            .count();
+        let mut next = result.clustering.n_clusters() as u32;
+        let global_reps = reps
+            .iter()
+            .zip(labels)
+            .map(|((site, r), l)| GlobalRep {
+                point: r.point.clone(),
+                eps_range: r.eps_range,
+                site: *site,
+                local_cluster: r.local_cluster,
+                global_cluster: l.cluster().unwrap_or_else(|| {
+                    next += 1;
+                    next - 1
+                }),
+            })
+            .collect();
+        let g = GlobalModel {
+            dim,
+            reps: global_reps,
+            n_clusters: next,
+            eps_global,
+        };
+        (g, borders)
+    }
+
+    /// Random local models of 2–4 sites in `dim` dimensions: each
+    /// representative jitters around one of a few shared centres, so
+    /// clusters span sites and their density varies.
+    fn random_models(dim: usize, seed: u64) -> Vec<LocalModel> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let centres: Vec<Vec<f64>> = (0..rng.random_range(1..5usize))
+            .map(|_| (0..dim).map(|_| rng.random_range(0.0..20.0)).collect())
+            .collect();
+        let jitter = 4.0 / (dim as f64).sqrt();
+        (0..rng.random_range(2..5u32))
+            .map(|site| LocalModel {
+                site,
+                dim,
+                reps: (0..rng.random_range(0..30usize))
+                    .map(|_| {
+                        let c = &centres[rng.random_range(0..centres.len())];
+                        let coords = c
+                            .iter()
+                            .map(|&x| x + rng.random_range(-jitter..jitter))
+                            .collect();
+                        Representative {
+                            point: Point::new(coords),
+                            eps_range: rng.random_range(0.5..2.0),
+                            local_cluster: rng.random_range(0..4u32),
+                        }
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rstar_global_model_equals_the_linear_scan_oracle() {
+        for dim in [2, 8] {
+            for min_pts_global in [2, 3] {
+                let mut borders = 0;
+                let mut merged = 0;
+                for seed in 0..40 {
+                    let models = random_models(dim, seed);
+                    let mut params = DbdcParams::new(1.0, 4);
+                    params.min_pts_global = min_pts_global;
+                    let (want, b) = linear_scan_oracle(&models, &params);
+                    let got = build_global_model(&models, &params);
+                    assert_eq!(got, want, "dim {dim}, MinPts {min_pts_global}, seed {seed}");
+                    borders += b;
+                    merged += usize::from((got.n_clusters as usize) < got.reps.len());
+                }
+                assert!(merged > 0, "dim {dim}: no representatives merged");
+                if min_pts_global == 3 {
+                    assert!(borders > 0, "dim {dim}: no border representatives");
+                }
+            }
+        }
     }
 
     #[test]

@@ -180,6 +180,90 @@ pub fn relabel_step(
     if let Some(s) = &sheet {
         s.add_bytes_received(encoded_global.len() as u64);
     }
+    if !global.reps.is_empty() && global.dim != site_data.dim() {
+        return Err(WireError::DimMismatch {
+            expected: site_data.dim(),
+            got: global.dim,
+        });
+    }
     let labels = relabel_site_observed(site_data, local, &global, sheet.as_ref());
     Ok((global, labels))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::global_model::GlobalRep;
+    use dbdc_geom::{Label, Point};
+    use dbdc_obs::NoopRecorder;
+
+    /// Two 2-D site points, one local cluster.
+    fn site() -> (Dataset, Clustering) {
+        let mut d = Dataset::new(2);
+        d.push(&[0.0, 0.0]);
+        d.push(&[1.0, 0.0]);
+        let local = Clustering::from_labels(vec![Label::Cluster(0), Label::Cluster(0)]);
+        (d, local)
+    }
+
+    /// A checksum-valid encoded global model with one representative.
+    fn encoded(coords: Vec<f64>, global_cluster: u32, n_clusters: u32) -> Bytes {
+        let g = GlobalModel {
+            dim: coords.len(),
+            reps: vec![GlobalRep {
+                point: Point::new(coords),
+                eps_range: 1.5,
+                site: 0,
+                local_cluster: 0,
+                global_cluster,
+            }],
+            n_clusters,
+            eps_global: 2.0,
+        };
+        wire::encode_global_model(&g).unwrap()
+    }
+
+    fn relabel(bytes: &[u8]) -> Result<(GlobalModel, Clustering), WireError> {
+        let (d, local) = site();
+        relabel_step(0, &d, &local, bytes, &NoopRecorder)
+    }
+
+    #[test]
+    fn wrong_dim_model_is_an_error_not_a_panic() {
+        assert_eq!(
+            relabel(&encoded(vec![0.0, 0.0, 0.0], 0, 1)).unwrap_err(),
+            WireError::DimMismatch {
+                expected: 2,
+                got: 3
+            }
+        );
+    }
+
+    #[test]
+    fn one_dim_model_is_an_error_not_a_panic() {
+        assert_eq!(
+            relabel(&encoded(vec![0.0], 0, 1)).unwrap_err(),
+            WireError::DimMismatch {
+                expected: 2,
+                got: 1
+            }
+        );
+    }
+
+    #[test]
+    fn undeclared_global_cluster_is_an_error_not_a_panic() {
+        assert_eq!(
+            relabel(&encoded(vec![0.0, 0.0], 5, 1)).unwrap_err(),
+            WireError::BadClusterId {
+                id: 5,
+                n_clusters: 1
+            }
+        );
+    }
+
+    #[test]
+    fn well_formed_model_relabels() {
+        let (_, labels) = relabel(&encoded(vec![0.0, 0.0], 0, 1)).unwrap();
+        assert_eq!(labels.labels(), &[Label::Cluster(0), Label::Cluster(0)]);
+    }
 }

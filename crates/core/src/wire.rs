@@ -57,13 +57,25 @@ pub enum WireError {
         /// The largest value the format can carry.
         max: u64,
     },
-    /// A representative's point dimensionality disagrees with the model
-    /// header (encode-time): the fixed-stride payload would misalign.
+    /// A dimensionality disagrees with the one it must match: at encode
+    /// time a representative's point against the model header (the
+    /// fixed-stride payload would misalign); at relabel time a decoded
+    /// global model against the site's data.
     DimMismatch {
-        /// The model's declared dimensionality.
+        /// The model's declared dimensionality (encode), or the site's
+        /// data dimensionality (relabel).
         expected: usize,
-        /// The representative's actual dimensionality.
+        /// The representative's actual dimensionality (encode), or the
+        /// global model's (relabel).
         got: usize,
+    },
+    /// A global representative names a cluster id the model does not
+    /// declare (`global_cluster >= n_clusters`).
+    BadClusterId {
+        /// The representative's global cluster id.
+        id: u32,
+        /// The model's declared cluster count.
+        n_clusters: u32,
     },
 }
 
@@ -81,7 +93,13 @@ impl std::fmt::Display for WireError {
                 write!(f, "{field} = {value} exceeds the wire maximum {max}")
             }
             WireError::DimMismatch { expected, got } => {
-                write!(f, "representative has dim {got}, model declares {expected}")
+                write!(f, "dim {got} where dim {expected} is expected")
+            }
+            WireError::BadClusterId { id, n_clusters } => {
+                write!(
+                    f,
+                    "global cluster id {id} outside the model's {n_clusters} clusters"
+                )
             }
         }
     }
@@ -311,6 +329,12 @@ pub fn decode_global_model(bytes: &[u8]) -> Result<GlobalModel, WireError> {
         let site = get_u32(&mut buf)?;
         let local_cluster = get_u32(&mut buf)?;
         let global_cluster = get_u32(&mut buf)?;
+        if global_cluster >= n_clusters {
+            return Err(WireError::BadClusterId {
+                id: global_cluster,
+                n_clusters,
+            });
+        }
         reps.push(GlobalRep {
             point: Point::new(coords),
             eps_range,

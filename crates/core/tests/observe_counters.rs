@@ -1,14 +1,17 @@
 //! Counter ground truth: a recorded DBDC run over the linear-scan
 //! backend must report exactly the work the protocol's algorithms are
 //! known to do — one distance evaluation per point per range query, one
-//! range query per point plus the SCP finalization queries, and wire
-//! byte counts equal to the real encoded message sizes.
+//! range query per point plus the SCP finalization queries, the server's
+//! R*-tree work as an independent recount, and wire byte counts equal to
+//! the real encoded message sizes.
+
+use std::sync::Arc;
 
 use dbdc::{run_dbdc, run_dbdc_with, DbdcParams, EpsGlobal, Partitioner};
-use dbdc_cluster::{dbscan_with_scp, DbscanParams};
+use dbdc_cluster::{dbscan, dbscan_with_scp, DbscanParams};
 use dbdc_geom::{Dataset, Euclidean};
-use dbdc_index::{IndexKind, LinearScan};
-use dbdc_obs::{NoopRecorder, RecordingRecorder};
+use dbdc_index::{IndexKind, LinearScan, RStarTree};
+use dbdc_obs::{CounterSheet, NoopRecorder, RecordingRecorder};
 
 const N_SITES: usize = 3;
 
@@ -60,10 +63,26 @@ fn sequential_counters_match_linear_scan_ground_truth() {
     }
 
     // --- Server scope: one query per representative, real byte totals. ---
+    // The server clusters the representatives through an R*-tree; recount
+    // its work with an independent DBSCAN over an observed tree of the same
+    // representatives at the resolved Eps_global.
     let global = rec.counters("global");
     let n_reps = outcome.n_representatives as u64;
+    let mut reps = Dataset::new(g.data.dim());
+    for r in &outcome.global.reps {
+        reps.push(r.point.coords());
+    }
+    let recount = Arc::new(CounterSheet::new());
+    dbscan(
+        &reps,
+        &RStarTree::bulk_load(&reps, Euclidean).observed(recount.clone()),
+        &DbscanParams::new(outcome.global.eps_global, p.min_pts_global),
+    );
+    let recount = recount.snapshot();
     assert_eq!(global.range_queries, n_reps);
-    assert_eq!(global.distance_evals, n_reps * n_reps);
+    assert_eq!(global.distance_evals, recount.distance_evals);
+    assert_eq!(global.node_visits, recount.node_visits);
+    assert!(global.node_visits > 0, "the server's index has nodes");
     assert_eq!(global.representatives, n_reps);
     assert_eq!(global.bytes_received, outcome.bytes_up as u64);
     assert_eq!(global.bytes_sent, outcome.bytes_down as u64);

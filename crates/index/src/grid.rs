@@ -253,8 +253,9 @@ impl<'a, M: Metric> GridIndex<'a, M> {
             hi[i] = ((q[i] + r) / self.cell).floor() as i64;
             cur[i] = lo[i];
         }
-        // Iterate the (hi-lo+1)^dim cell lattice with an odometer; dim is
-        // small (2-3) in this workspace so this stays cheap.
+        // Iterate the (hi-lo+1)^dim cell lattice with an odometer. That is
+        // 3^dim probes at r = cell (6,561 in 8-D), occupied or not, so the
+        // grid only pays off in low dimensions.
         let mut visited = 0u64;
         'outer: loop {
             if let Some(&block) = self.cells.get(&cur[..]) {
