@@ -41,13 +41,16 @@ impl DbscanParams {
 }
 
 /// The result of a DBSCAN run: the clustering plus per-point core flags.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DbscanResult {
     /// Cluster labels (noise for unclustered points).
     pub clustering: Clustering,
     /// `core[i]` — whether point `i` satisfies the core-object condition.
     pub core: Vec<bool>,
-    /// Number of ε-range queries issued (diagnostic; one per point).
+    /// Number of ε-range queries issued to the index (diagnostic). Plain
+    /// DBSCAN issues one per point; [`crate::scp::dbscan_with_scp`] adds
+    /// one per specific core point on the index path and issues none on
+    /// the cell path.
     pub range_queries: usize,
 }
 

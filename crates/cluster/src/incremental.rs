@@ -88,6 +88,11 @@ impl IncrementalDbscan {
         self.data.point(id)
     }
 
+    /// Every point ever inserted, live or removed, indexed by id.
+    pub fn data(&self) -> &Dataset {
+        &self.data
+    }
+
     /// Whether live point `id` currently satisfies the core condition.
     pub fn is_core(&self, id: u32) -> bool {
         self.core[id as usize]

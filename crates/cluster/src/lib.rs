@@ -3,8 +3,10 @@
 //! * [`mod@dbscan`] — DBSCAN \[Ester et al. 96\], the paper's local and global
 //!   clustering algorithm, with per-point core flags.
 //! * [`scp`] — the paper's "slightly enhanced DBSCAN" that extracts
-//!   *specific core points* and their specific ε-ranges on the fly
-//!   (Definitions 6 and 7), the substrate of both local models.
+//!   *specific core points* and their specific ε-ranges (Definitions 6
+//!   and 7) by one id-order rule, the substrate of both local models.
+//! * [`cells`] — cell-based exact DBSCAN, the local phase's path for
+//!   sites whose points mostly lie in dense cells.
 //! * [`kmeans`] — seeded Lloyd's algorithm (for the `REP_kMeans` local
 //!   model, Section 5.2) and a k-means++ baseline.
 //! * [`mod@optics`] — OPTICS \[Ankerst et al. 99\], the alternative global-model
@@ -24,6 +26,7 @@
 //! * [`mod@dbcv`] — the DBCV relative validity index \[Moulavi et al. 14\],
 //!   the ground-truth-free quality signal for unlabeled workloads.
 
+pub mod cells;
 pub mod dbcv;
 pub mod dbscan;
 pub mod incremental;
@@ -52,6 +55,9 @@ pub use partitioned::{
     effective_partitions, partitioned_dbscan, partitioned_dbscan_with_scp,
     partitioned_neighborhoods, PartitionStats,
 };
-pub use scp::{dbscan_with_scp, ScpResult, SpecificCorePoint};
+pub use scp::{
+    check_specific_core_points, dbscan_with_scp, select_specific_core_points, try_cell_path,
+    ScpResult, SpecificCorePoint,
+};
 pub use singlelink::{single_link, Dendrogram, Merge};
 pub use union_find::UnionFind;

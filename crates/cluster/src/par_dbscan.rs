@@ -43,17 +43,18 @@
 //!   range query per point and flags cores by the same cardinality test,
 //!   so `core` and `range_queries` agree trivially.
 //!
-//! [`par_dbscan_with_scp`] extends this to the paper's enhanced DBSCAN:
-//! specific-core-point selection is *visit-order dependent*
-//! (Definition 6 "is not disjunctive"), so it replays the sequential
-//! state machine — but over the cached neighborhoods, issuing zero
-//! additional index queries. The replay consumes identical neighbor
-//! lists in identical order, hence produces the identical [`ScpResult`].
+//! [`par_dbscan_with_scp`] extends this to the paper's enhanced DBSCAN.
+//! It makes the same path choice as [`crate::scp::dbscan_with_scp`]: a
+//! site that qualifies for the cell path is clustered on cells, any other
+//! one through the cached neighborhoods. Specific core points then follow
+//! the id-order rule of [`mod@crate::scp`] over those neighborhoods. That
+//! rule depends only on the labels, the core flags and the predicate, so
+//! the [`ScpResult`] equals the sequential one field for field.
 
 use crate::dbscan::{DbscanParams, DbscanResult};
-use crate::scp::{ScpResult, SpecificCorePoint};
+use crate::scp::{finish, on_cells, ScpResult, Vicinity};
 use crate::union_find::UnionFind;
-use dbdc_geom::{Clustering, Dataset, Label, Metric};
+use dbdc_geom::{Clustering, Dataset, Label};
 use dbdc_index::{NeighborIndex, QueryWorkspace};
 use std::sync::Mutex;
 
@@ -283,12 +284,12 @@ pub(crate) fn cluster_from_neighborhoods(
     }
 }
 
-/// Parallel variant of [`crate::scp::dbscan_with_scp`]: the ε-range
-/// queries run on the worker pool, then the sequential enhanced-DBSCAN
-/// state machine is replayed over the cached neighborhoods (specific
-/// core point selection is visit-order dependent, so replay is the only
-/// way to reproduce it exactly). Output is identical to the sequential
-/// function for any thread count.
+/// Parallel variant of [`crate::scp::dbscan_with_scp`]: the same path
+/// choice, with the index path's ε-range queries run on the worker pool
+/// and the specific core points selected over the cached neighborhoods.
+/// Output is identical to the sequential function for any thread count.
+/// `threads` has no effect on a site that takes the cell path, which
+/// runs on the calling thread.
 ///
 /// # Panics
 /// Panics if the index does not cover `data` (`index.len() != data.len()`).
@@ -303,141 +304,21 @@ pub fn par_dbscan_with_scp(
         data.len(),
         "index must be built over the clustered dataset"
     );
+    let pred = index.predicate();
+    let sheet = index.counter_sheet();
+    if let Some(result) = on_cells(data, &pred, params, sheet, false) {
+        return result;
+    }
     let neighborhoods = parallel_neighborhoods(data, index, params.eps, threads);
-    replay_scp(data, &neighborhoods, params)
-}
-
-/// Sequential enhanced-DBSCAN replay over precomputed neighborhoods.
-/// Mirrors `scp::dbscan_with_scp` statement for statement, with each
-/// `index.range(...)` replaced by a cached lookup; `range_queries`
-/// counts the queries the sequential run would have issued, so the two
-/// results compare equal field by field.
-///
-/// The clustering *labels* depend only on the neighbor sets (cluster
-/// creation order is outer-loop order, border claims go to the
-/// earliest-created cluster); the *specific core point* selection does
-/// depend on each list's internal order, so callers feeding reordered
-/// lists (the partitioned local phase) get identical labels but
-/// possibly different — still deterministic — representatives.
-pub(crate) fn replay_scp(
-    data: &Dataset,
-    neighborhoods: &[Vec<u32>],
-    params: &DbscanParams,
-) -> ScpResult {
-    let n = data.len();
-    let mut state = vec![UNCLASSIFIED; n];
-    let mut core = vec![false; n];
-    let mut next_cluster: i64 = 0;
-    let mut seeds: Vec<u32> = Vec::new();
-    let mut range_queries = 0usize;
-    let mut scp_ids: Vec<Vec<u32>> = Vec::new();
-    let metric = dbdc_geom::Euclidean;
-
-    let add_core_point = |scp_ids: &mut Vec<Vec<u32>>, cluster: usize, id: u32| {
-        let list = &mut scp_ids[cluster];
-        let covered = list
-            .iter()
-            .any(|&s| metric.dist(data.point(s), data.point(id)) <= params.eps);
-        if !covered {
-            list.push(id);
-        }
-    };
-
-    for i in 0..n as u32 {
-        if state[i as usize] != UNCLASSIFIED {
-            continue;
-        }
-        let neighbors = &neighborhoods[i as usize];
-        range_queries += 1;
-        if neighbors.len() < params.min_pts {
-            state[i as usize] = NOISE;
-            continue;
-        }
-        let cluster = next_cluster as usize;
-        next_cluster += 1;
-        scp_ids.push(Vec::new());
-        core[i as usize] = true;
-        state[i as usize] = cluster as i64;
-        add_core_point(&mut scp_ids, cluster, i);
-        seeds.clear();
-        for &q in neighbors {
-            let s = &mut state[q as usize];
-            if *s == UNCLASSIFIED {
-                *s = cluster as i64;
-                seeds.push(q);
-            } else if *s == NOISE {
-                *s = cluster as i64;
-            }
-        }
-        while let Some(j) = seeds.pop() {
-            let neighbors = &neighborhoods[j as usize];
-            range_queries += 1;
-            if neighbors.len() < params.min_pts {
-                continue;
-            }
-            core[j as usize] = true;
-            add_core_point(&mut scp_ids, cluster, j);
-            for &q in neighbors {
-                let s = &mut state[q as usize];
-                if *s == UNCLASSIFIED {
-                    *s = cluster as i64;
-                    seeds.push(q);
-                } else if *s == NOISE {
-                    *s = cluster as i64;
-                }
-            }
-        }
-    }
-
-    // Definition 7 finalization; the sequential version re-queries each
-    // specific core point here, the replay reuses its cached list.
-    let mut scp: Vec<Vec<SpecificCorePoint>> = Vec::with_capacity(scp_ids.len());
-    for ids in &scp_ids {
-        let mut list = Vec::with_capacity(ids.len());
-        for &s in ids {
-            range_queries += 1;
-            let max_core_dist = neighborhoods[s as usize]
-                .iter()
-                .filter(|&&q| core[q as usize])
-                .map(|&q| metric.dist(data.point(s), data.point(q)))
-                .fold(0.0f64, f64::max);
-            list.push(SpecificCorePoint {
-                point: s,
-                eps_range: params.eps + max_core_dist,
-            });
-        }
-        scp.push(list);
-    }
-
-    let labels = state
-        .iter()
-        .map(|&s| {
-            if s < 0 {
-                Label::Noise
-            } else {
-                Label::Cluster(s as u32)
-            }
-        })
-        .collect();
-    let clustering = Clustering::from_labels(labels);
-
-    let mut remapped: Vec<Vec<SpecificCorePoint>> = vec![Vec::new(); scp.len()];
-    for (raw, list) in scp.into_iter().enumerate() {
-        let dense = list
-            .first()
-            .and_then(|s| clustering.label(s.point).cluster())
-            .unwrap_or(raw as u32) as usize;
-        remapped[dense] = list;
-    }
-
-    ScpResult {
-        dbscan: DbscanResult {
-            clustering,
-            core,
-            range_queries,
-        },
-        scp: remapped,
-    }
+    let result = cluster_from_neighborhoods(data.len(), &neighborhoods, params.min_pts, None, None);
+    finish(
+        data,
+        result,
+        params.eps,
+        &pred,
+        Vicinity::Lists(&neighborhoods),
+        sheet,
+    )
 }
 
 #[cfg(test)]
@@ -475,10 +356,7 @@ mod tests {
             assert_eq!(seq.core, par.core, "threads={threads}");
             assert_eq!(seq.range_queries, par.range_queries, "threads={threads}");
             let par_scp = par_dbscan_with_scp(d, &idx, &params, threads);
-            assert_eq!(seq_scp.dbscan.clustering, par_scp.dbscan.clustering);
-            assert_eq!(seq_scp.dbscan.core, par_scp.dbscan.core);
-            assert_eq!(seq_scp.dbscan.range_queries, par_scp.dbscan.range_queries);
-            assert_eq!(seq_scp.scp, par_scp.scp, "threads={threads}");
+            assert_eq!(seq_scp, par_scp, "threads={threads}");
         }
     }
 

@@ -23,17 +23,19 @@
 //! (core flags, core-core union-find merge, canonicalization), so the
 //! labels are **identical** to sequential [`crate::dbscan::dbscan`] at
 //! every partition count — that identity is the correctness gate the
-//! tests pin. Specific-core-point selection is visit-order dependent
-//! (Definition 6), so [`partitioned_dbscan_with_scp`] replays the same
-//! sequential state machine over the sorted neighborhoods: its labels
-//! are again identical, while the chosen representatives may differ
-//! deterministically from the unpartitioned run's.
+//! tests pin. [`partitioned_dbscan_with_scp`] makes the same path choice
+//! as [`crate::scp::dbscan_with_scp`] and selects specific core points by
+//! the same id-order rule, so its [`ScpResult`] equals the unpartitioned
+//! one. A site that takes the cell path is clustered on cells as a whole,
+//! with no stripes.
 
 use crate::dbscan::{DbscanParams, DbscanResult};
-use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads, replay_scp};
-use crate::scp::ScpResult;
+use crate::par_dbscan::{cluster_from_neighborhoods, effective_threads};
+use crate::scp::{finish, on_cells, ScpResult, Vicinity};
 use dbdc_geom::{Dataset, Euclidean};
-use dbdc_index::{build_index_opts, BuildOptions, IndexKind, Precision, QueryWorkspace};
+use dbdc_index::{
+    build_index_opts, BuildOptions, IndexKind, Precision, QueryWorkspace, RangePredicate,
+};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -249,9 +251,12 @@ pub fn partitioned_dbscan(
 }
 
 /// Partitioned variant of [`crate::par_dbscan::par_dbscan_with_scp`]:
-/// identical labels, deterministic (but possibly different from the
-/// unpartitioned run's) specific-core-point representatives — see the
-/// module docs. Instrumentation as in [`partitioned_neighborhoods`].
+/// the same path choice and the same [`ScpResult`] as the unpartitioned
+/// run — see the module docs. On the cell path `partitions` and
+/// `threads` have no effect: the site is clustered on the calling thread
+/// and the stats report it as one partition with no halo. Instrumentation as in
+/// [`partitioned_neighborhoods`]; distances computed outside the
+/// partitions' indexes land in `sheet` too.
 #[allow(clippy::too_many_arguments)]
 pub fn partitioned_dbscan_with_scp(
     data: &Dataset,
@@ -263,17 +268,38 @@ pub fn partitioned_dbscan_with_scp(
     sheet: Option<&std::sync::Arc<dbdc_obs::CounterSheet>>,
     hist: Option<&std::sync::Arc<dbdc_obs::HistSheet>>,
 ) -> (ScpResult, PartitionStats) {
+    // The partitions' indexes compare with this predicate.
+    let pred = RangePredicate::for_kind(kind, &Euclidean, precision);
+    let t0 = Instant::now();
+    if let Some(scp) = on_cells(data, &pred, params, sheet.map(|s| &**s), false) {
+        let stats = PartitionStats {
+            partitions: 1,
+            halo_points: 0,
+            partition_times: vec![t0.elapsed()],
+            partition_owned: vec![data.len()],
+            partition_halo: vec![0],
+        };
+        return (scp, stats);
+    }
     let (neighbors, stats) = partitioned_neighborhoods(
         data, kind, params.eps, partitions, threads, precision, sheet, hist,
     );
-    (replay_scp(data, &neighbors, params), stats)
+    let result = cluster_from_neighborhoods(data.len(), &neighbors, params.min_pts, None, None);
+    let scp = finish(
+        data,
+        result,
+        params.eps,
+        &pred,
+        Vicinity::Lists(&neighbors),
+        sheet.map(|s| &**s),
+    );
+    (scp, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dbscan::dbscan;
-    use dbdc_geom::Metric;
     use dbdc_index::{LinearScan, NeighborIndex};
 
     fn two_blobs_and_noise() -> Dataset {
@@ -364,36 +390,26 @@ mod tests {
     }
 
     #[test]
-    fn scp_labels_identical_and_ranges_cover() {
+    fn scp_identical_to_sequential_and_valid() {
         let d = two_blobs_and_noise();
         let idx = LinearScan::new(&d, Euclidean);
         let params = DbscanParams::new(0.8, 3);
-        let seq = dbscan(&d, &idx, &params);
-        let (scp, _) = partitioned_dbscan_with_scp(
-            &d,
-            IndexKind::KdTree,
-            &params,
-            3,
-            2,
-            Precision::F64,
-            None,
-            None,
-        );
-        assert_eq!(seq.clustering, scp.dbscan.clustering);
-        // Every core point must be covered by a representative of its
-        // own cluster within the specific ε-range (Definition 7).
-        for i in 0..d.len() as u32 {
-            if !scp.dbscan.core[i as usize] {
-                continue;
-            }
-            let c = scp.dbscan.clustering.label(i).cluster().expect("core") as usize;
-            assert!(
-                scp.scp[c]
-                    .iter()
-                    .any(|s| Euclidean.dist(d.point(s.point), d.point(i)) <= s.eps_range),
-                "core {i} uncovered"
+        let seq = crate::scp::dbscan_with_scp(&d, &idx, &params);
+        for partitions in [1, 3] {
+            let (scp, _) = partitioned_dbscan_with_scp(
+                &d,
+                IndexKind::KdTree,
+                &params,
+                partitions,
+                2,
+                Precision::F64,
+                None,
+                None,
             );
+            assert_eq!(seq, scp, "partitions={partitions}");
         }
+        crate::scp::check_specific_core_points(&d, &seq, params.eps, &idx.predicate())
+            .expect("Definitions 6 and 7 hold");
     }
 
     #[test]

@@ -163,6 +163,7 @@ fn flattened_backends_match_linear_oracle_label_for_label() {
     let params = DbscanParams::new(0.4, 4);
     let linear = build_index(IndexKind::Linear, &data, Euclidean, params.eps);
     let oracle = dbscan(&data, linear.as_ref(), &params);
+    let oracle_scp = dbscan_with_scp(&data, linear.as_ref(), &params);
     assert!(oracle.clustering.n_clusters() >= 3, "dataset must cluster");
 
     for kind in [IndexKind::Grid, IndexKind::KdTree, IndexKind::RStar] {
@@ -170,11 +171,11 @@ fn flattened_backends_match_linear_oracle_label_for_label() {
         let r = dbscan(&data, idx.as_ref(), &params);
         assert_eq!(oracle.clustering, r.clustering, "[{kind:?}] labels");
         assert_eq!(oracle.core, r.core, "[{kind:?}] core flags");
-        // The scp greedy selection is visit-order dependent and each
-        // backend has its own (deterministic) neighbor order, so scp is
-        // pinned per backend: sequential and parallel runs on the same
-        // index must replay the identical selection.
+        // Specific core points are selected in ascending id whatever the
+        // backend's neighbor order, so every backend and thread count
+        // chooses the linear scan's model.
         let seq_scp = dbscan_with_scp(&data, idx.as_ref(), &params);
+        assert_eq!(oracle_scp, seq_scp, "[{kind:?}] scp");
         for threads in [1, 2, 8] {
             let par = par_dbscan(&data, idx.as_ref(), &params, threads);
             assert_eq!(

@@ -1,11 +1,16 @@
 //! Property-based determinism check for the parallel execution layer:
 //! on arbitrary data and parameters, `par_dbscan` must produce exactly
 //! the sequential `dbscan` output at every thread count, and
-//! `par_dbscan_with_scp` the exact `dbscan_with_scp` output.
+//! `par_dbscan_with_scp` the exact `dbscan_with_scp` output, in `f64`
+//! and in `f32`, with Definitions 6 and 7 holding under the index's own
+//! predicate.
 
-use dbdc_cluster::{dbscan, dbscan_with_scp, par_dbscan, par_dbscan_with_scp, DbscanParams};
-use dbdc_geom::Dataset;
-use dbdc_index::{build_index, IndexKind};
+use dbdc_cluster::{
+    check_specific_core_points, dbscan, dbscan_with_scp, par_dbscan, par_dbscan_with_scp,
+    partitioned_dbscan_with_scp, DbscanParams,
+};
+use dbdc_geom::{Dataset, Euclidean, Precision};
+use dbdc_index::{build_index, build_index_opts, BuildOptions, IndexKind};
 use proptest::prelude::*;
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
@@ -76,6 +81,8 @@ proptest! {
         let params = DbscanParams::new(eps, min_pts);
         let idx = build_index(IndexKind::RStar, &data, dbdc_geom::Euclidean, eps);
         let seq = dbscan_with_scp(&data, idx.as_ref(), &params);
+        prop_assert_eq!(
+            check_specific_core_points(&data, &seq, eps, &idx.predicate()), Ok(()));
         for threads in [1usize, 2, 8] {
             let par = par_dbscan_with_scp(&data, idx.as_ref(), &params, threads);
             prop_assert_eq!(&seq.scp, &par.scp, "scp differ at {} threads", threads);
@@ -85,6 +92,31 @@ proptest! {
                 "core flags differ at {} threads", threads);
             prop_assert_eq!(seq.dbscan.range_queries, par.dbscan.range_queries,
                 "query count differs at {} threads", threads);
+        }
+    }
+
+    /// Under `f32` scan precision every site stays on the index path, and
+    /// the sequential, parallel and partitioned drivers still agree and
+    /// satisfy Definitions 6 and 7 under the `f32` predicate.
+    #[test]
+    fn f32_drivers_agree_and_satisfy_definitions_6_and_7(
+        data in arb_dataset(),
+        eps in 0.5..3.0f64,
+        min_pts in 2usize..7,
+    ) {
+        let params = DbscanParams::new(eps, min_pts);
+        let opts = BuildOptions { threads: 1, precision: Precision::F32 };
+        let idx = build_index_opts(IndexKind::RStar, &data, Euclidean, eps, opts, None, None);
+        let seq = dbscan_with_scp(&data, idx.as_ref(), &params);
+        prop_assert_eq!(seq.dbscan.range_queries, data.len() + seq.n_representatives());
+        prop_assert_eq!(
+            check_specific_core_points(&data, &seq, eps, &idx.predicate()), Ok(()));
+        prop_assert_eq!(&par_dbscan_with_scp(&data, idx.as_ref(), &params, 2), &seq);
+        for partitions in [2usize, 4] {
+            let (part, _) = partitioned_dbscan_with_scp(
+                &data, IndexKind::RStar, &params, partitions, 2, Precision::F32, None, None,
+            );
+            prop_assert_eq!(&part, &seq, "{} partitions", partitions);
         }
     }
 }

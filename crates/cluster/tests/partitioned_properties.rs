@@ -2,9 +2,13 @@
 //! arbitrary data and parameters, `partitioned_dbscan` must produce
 //! exactly the sequential `dbscan` output on every backend, at every
 //! thread count, at every partition count — including halo-heavy ε
-//! settings where the stripes overlap almost entirely.
+//! settings where the stripes overlap almost entirely — and
+//! `partitioned_dbscan_with_scp` exactly the `dbscan_with_scp` result.
 
-use dbdc_cluster::{dbscan, partitioned_dbscan, DbscanParams};
+use dbdc_cluster::{
+    check_specific_core_points, dbscan, dbscan_with_scp, partitioned_dbscan,
+    partitioned_dbscan_with_scp, DbscanParams,
+};
 use dbdc_geom::{Dataset, Precision};
 use dbdc_index::{build_index, IndexKind};
 use proptest::prelude::*;
@@ -70,6 +74,32 @@ proptest! {
                     prop_assert_eq!(stats.partitions, partitions.min(data.len().max(1)),
                         "partition count not honored");
                 }
+            }
+        }
+    }
+
+    /// The partitioned enhanced DBSCAN returns exactly the sequential
+    /// `ScpResult` (labels, core flags, query count and specific core
+    /// points) on every backend at 1/2/4 partitions, and it satisfies
+    /// Definitions 6 and 7.
+    #[test]
+    fn partitioned_scp_equals_sequential(
+        data in arb_dataset(),
+        eps in 0.5..3.0f64,
+        min_pts in 2usize..7,
+    ) {
+        let params = DbscanParams::new(eps, min_pts);
+        for kind in IndexKind::ALL {
+            let idx = build_index(kind, &data, dbdc_geom::Euclidean, eps);
+            let seq = dbscan_with_scp(&data, idx.as_ref(), &params);
+            prop_assert_eq!(
+                check_specific_core_points(&data, &seq, eps, &idx.predicate()), Ok(()));
+            for partitions in [1usize, 2, 4] {
+                let (part, _) = partitioned_dbscan_with_scp(
+                    &data, kind, &params, partitions, 2, Precision::F64, None, None,
+                );
+                prop_assert_eq!(&part, &seq,
+                    "ScpResult differs ({:?}, {} partitions)", kind, partitions);
             }
         }
     }

@@ -20,10 +20,10 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use dbdc_cluster::{
     dbscan_with_scp, effective_partitions, effective_threads, par_dbscan_with_scp,
-    partitioned_dbscan_with_scp, DbscanParams, ScpResult,
+    partitioned_dbscan_with_scp, try_cell_path, DbscanParams, ScpResult,
 };
 use dbdc_geom::{Clustering, Dataset, Euclidean};
-use dbdc_index::BuildOptions;
+use dbdc_index::{BuildOptions, RangePredicate};
 use dbdc_obs::{CounterSheet, Recorder, Span};
 
 use crate::global_model::{build_global_model_observed, GlobalModel};
@@ -37,9 +37,9 @@ use crate::wire::{self, WireError};
 pub struct LocalTimes {
     /// The whole local phase, build through encode.
     pub total: Duration,
-    /// Index construction. Zero when the site ran partitioned: each
+    /// Index construction. Zero when the site ran partitioned (each
     /// partition builds its own index inside its [`LocalTimes::partitions`]
-    /// entry.
+    /// entry) or on the cell path, which needs no index.
     pub build: Duration,
     /// Clustering over the built index(es), excluding a site-wide build.
     pub cluster: Duration,
@@ -78,7 +78,9 @@ impl LocalTimes {
 /// With [`DbdcParams::partitions`] resolving above 1 the site runs the
 /// partitioned execution path (stripes + ε-halos + one private index
 /// per partition); the labels are identical either way, and the halo
-/// replication volume lands in the site's `halo_points` counter.
+/// replication volume lands in the site's `halo_points` counter. A site
+/// that qualifies for the cell path (see [`dbdc_cluster::cells`]) builds
+/// no index at all; `threads` and `partitions` do not apply to it.
 pub fn local_phase(
     site: u32,
     site_data: &Dataset,
@@ -107,7 +109,16 @@ pub fn local_phase(
         // Each partition builds its own index inside its timed span;
         // there is no site-wide build to report separately.
         (scp, Duration::ZERO, stats.partition_times)
+    } else if let Some(scp) = try_cell_path(
+        site_data,
+        &RangePredicate::for_kind(params.index, &Euclidean, params.precision),
+        &dbscan_params,
+        sheet.as_deref(),
+    ) {
+        (scp, Duration::ZERO, Vec::new())
     } else {
+        // The clustering call below repeats the cell-path check (one
+        // hash per point) before it takes the index path.
         let index = dbdc_index::build_index_opts(
             params.index,
             site_data,
@@ -259,6 +270,32 @@ mod tests {
                 n_clusters: 1
             }
         );
+    }
+
+    #[test]
+    fn local_phase_builds_no_index_on_the_cell_path() {
+        // 40 points per blob, packed far inside one ε/√2 cell: every
+        // point lies in a dense cell. Spread 10 apart, no cell is dense.
+        let dense = Dataset::from_flat(
+            2,
+            (0..80)
+                .flat_map(|i| [(i / 40) as f64 * 9.0 + (i % 40) as f64 * 1e-3, 0.5])
+                .collect(),
+        );
+        let sparse = Dataset::from_flat(2, (0..40).flat_map(|i| [i as f64 * 10.0, 0.0]).collect());
+        for threads in [1, 2] {
+            let p = DbdcParams::new(1.0, 5).with_threads(threads);
+            let oracle = DbscanParams::new(1.0, 5);
+            for (data, cells) in [(&dense, true), (&sparse, false)] {
+                let (scp, _, times) = local_phase(0, data, &p, &NoopRecorder);
+                let index = dbdc_index::LinearScan::new(data, Euclidean);
+                assert_eq!(scp, dbscan_with_scp(data, &index, &oracle));
+                assert_eq!(scp.dbscan.range_queries == 0, cells);
+                if cells {
+                    assert_eq!(times.build, Duration::ZERO);
+                }
+            }
+        }
     }
 
     #[test]

@@ -425,18 +425,23 @@ mod tests {
     #[test]
     fn every_thread_count_gives_the_same_outcome() {
         // The determinism guarantee end to end: sequential and threaded
-        // drivers, with 1/2/8 intra-site workers, all produce the same
-        // protocol result.
+        // drivers, with 1/2/8 intra-site workers and 2/4 spatial
+        // partitions, all produce the same protocol result.
         let g = dataset_c(12);
         let base = run_dbdc(&g.data, &params(), Partitioner::RandomEqual { seed: 7 }, 3);
-        for threads in [0, 1, 2, 8] {
-            let p = params().with_threads(threads);
+        let drivers = [0, 1, 2, 8]
+            .map(|threads| params().with_threads(threads))
+            .into_iter()
+            .chain([2, 4].map(|partitions| params().with_threads(2).with_partitions(partitions)));
+        for p in drivers {
+            let threads = p.threads;
             for threaded in [false, true] {
                 let seed = Partitioner::RandomEqual { seed: 7 };
                 let out = run_dbdc_with(&g.data, &p, seed, 3, threaded, &NoopRecorder);
                 assert_eq!(
                     base.assignment, out.assignment,
-                    "threads={threads} threaded={threaded}"
+                    "threads={threads} partitions={} threaded={threaded}",
+                    p.partitions
                 );
                 assert_eq!(base.bytes_up, out.bytes_up);
                 assert_eq!(base.per_site_bytes_up, out.per_site_bytes_up);

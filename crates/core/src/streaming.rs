@@ -24,8 +24,9 @@
 use crate::global_model::{GlobalModel, GlobalRep};
 use crate::local_model::{LocalModel, Representative};
 use crate::params::DbdcParams;
-use dbdc_cluster::{DbscanParams, IncrementalDbscan};
-use dbdc_geom::{adjusted_rand_index, Clustering, Euclidean, Label, Metric, Point};
+use dbdc_cluster::{select_specific_core_points, DbscanParams, IncrementalDbscan};
+use dbdc_geom::{adjusted_rand_index, Clustering, Euclidean, Label, Point};
+use dbdc_index::RStarTree;
 use std::collections::HashMap;
 
 /// The server side of streaming DBDC.
@@ -215,49 +216,35 @@ impl ClientSession {
     /// Extracts the current `REP_Scor` local model from the maintained
     /// clustering state and marks it as transmitted (resetting drift).
     ///
-    /// The specific core points are selected greedily in id order over the
-    /// *current* core points; the specific ε-ranges follow Definition 7.
+    /// The specific core points are the *current* core points selected
+    /// by the id-order rule of [`dbdc_cluster::scp`], the one every batch
+    /// driver uses; the specific ε-ranges follow Definition 7, one
+    /// R\*-tree range query per specific core point.
     pub fn take_model(&mut self) -> LocalModel {
         let clustering = self.inc.clustering();
         self.last_sent = Some(clustering.clone());
-        let metric = Euclidean;
-        // Collect current core points per cluster.
-        let mut cores_by_cluster: HashMap<u32, Vec<u32>> = HashMap::new();
-        for id in 0..clustering.len() as u32 {
-            if self.inc.is_live(id) && self.inc.is_core(id) {
-                if let Label::Cluster(c) = clustering.label(id) {
-                    cores_by_cluster.entry(c).or_default().push(id);
-                }
-            }
-        }
-        let mut reps = Vec::new();
-        let mut clusters: Vec<_> = cores_by_cluster.into_iter().collect();
-        clusters.sort_by_key(|(c, _)| *c);
-        for (cluster, cores) in clusters {
-            // Greedy Scor selection in id order.
-            let mut scor: Vec<u32> = Vec::new();
-            for &c in &cores {
-                let covered = scor.iter().any(|&s| {
-                    metric.dist(self.inc.point(s), self.inc.point(c)) <= self.params.eps_local
-                });
-                if !covered {
-                    scor.push(c);
-                }
-            }
-            // Definition 7 ε-ranges.
-            for &s in &scor {
-                let max_core = cores
-                    .iter()
-                    .map(|&c| metric.dist(self.inc.point(s), self.inc.point(c)))
-                    .filter(|&d| d <= self.params.eps_local)
-                    .fold(0.0f64, f64::max);
-                reps.push(Representative {
-                    point: Point::from(self.inc.point(s)),
-                    eps_range: self.params.eps_local + max_core,
-                    local_cluster: cluster,
-                });
-            }
-        }
+        let data = self.inc.data();
+        let core: Vec<bool> = (0..data.len() as u32)
+            .map(|id| self.inc.is_live(id) && self.inc.is_core(id))
+            .collect();
+        let scp = select_specific_core_points(
+            data,
+            &clustering,
+            &core,
+            self.params.eps_local,
+            &RStarTree::bulk_load(data, Euclidean),
+        );
+        let reps = scp
+            .iter()
+            .enumerate()
+            .flat_map(|(cluster, list)| {
+                list.iter().map(move |s| Representative {
+                    point: Point::from(data.point(s.point)),
+                    eps_range: s.eps_range,
+                    local_cluster: cluster as u32,
+                })
+            })
+            .collect();
         LocalModel {
             site: self.site,
             dim: self.dim,
@@ -273,7 +260,7 @@ mod tests {
     use crate::quality::{q_dbdc, ObjectQuality};
     use crate::relabel::relabel_site;
     use crate::runtime::central_dbscan;
-    use dbdc_geom::Dataset;
+    use dbdc_geom::{Dataset, Metric};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

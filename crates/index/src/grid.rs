@@ -20,7 +20,7 @@
 
 use crate::linear::ordered::F64;
 use crate::{scan_block, scan_block_f32, NeighborIndex};
-use crate::{Precision, QueryF32};
+use crate::{IndexKind, Precision, QueryF32, RangePredicate};
 use dbdc_geom::{Dataset, Metric};
 use dbdc_obs::CounterSheet;
 use std::collections::{BinaryHeap, HashMap};
@@ -278,6 +278,14 @@ impl<'a, M: Metric> GridIndex<'a, M> {
 impl<M: Metric> NeighborIndex for GridIndex<'_, M> {
     fn len(&self) -> usize {
         self.data.len()
+    }
+
+    fn predicate(&self) -> RangePredicate<'_> {
+        RangePredicate::for_kind(IndexKind::Grid, &self.metric, self.precision)
+    }
+
+    fn counter_sheet(&self) -> Option<&CounterSheet> {
+        self.sheet.as_deref()
     }
 
     // The default `range_with` delegates here; the grid has no

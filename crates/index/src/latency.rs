@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use dbdc_obs::HistSheet;
 
-use crate::{NeighborIndex, QueryWorkspace};
+use crate::{NeighborIndex, QueryWorkspace, RangePredicate};
 
 /// A [`NeighborIndex`] that records each query's wall time in
 /// nanoseconds into a [`HistSheet`].
@@ -36,6 +36,14 @@ impl<'a> LatencyObserved<'a> {
 impl NeighborIndex for LatencyObserved<'_> {
     fn len(&self) -> usize {
         self.inner.len()
+    }
+
+    fn predicate(&self) -> RangePredicate<'_> {
+        self.inner.predicate()
+    }
+
+    fn counter_sheet(&self) -> Option<&dbdc_obs::CounterSheet> {
+        self.inner.counter_sheet()
     }
 
     fn range(&self, q: &[f64], eps: f64, out: &mut Vec<u32>) {

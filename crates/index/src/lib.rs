@@ -107,6 +107,70 @@ pub trait NeighborIndex: Send + Sync {
     /// `k` pairs if the index holds fewer points. The query point itself is
     /// *not* excluded — queries from indexed points include themselves.
     fn knn(&self, q: &[f64], k: usize) -> Vec<(u32, f64)>;
+
+    /// The pair test this index applies to every range-query candidate.
+    fn predicate(&self) -> RangePredicate<'_>;
+
+    /// The counter sheet attached with `observed`, if any. Code that
+    /// evaluates distances next to the index (cell-based DBSCAN, the
+    /// specific-core-point selection) records them here, so the sheet
+    /// counts every distance a clustering run computes.
+    fn counter_sheet(&self) -> Option<&dbdc_obs::CounterSheet> {
+        None
+    }
+}
+
+/// The test a range query applies to each candidate: `p ∈ N_eps(q)` iff
+/// `surrogate(q, p) <= to_surrogate(eps)`, evaluated in the index's scan
+/// precision. Under [`Precision::F32`] both points and the bound are
+/// narrowed to `f32` exactly as the leaf scan narrows them. Code that
+/// decides ε-membership outside the index uses this, so its answers agree
+/// with the index's bit for bit.
+#[derive(Clone, Copy)]
+pub struct RangePredicate<'a> {
+    metric: &'a dyn Metric,
+    precision: Precision,
+}
+
+impl<'a> RangePredicate<'a> {
+    /// The predicate of an index over `metric` scanning in `precision`.
+    pub fn new(metric: &'a dyn Metric, precision: Precision) -> Self {
+        Self { metric, precision }
+    }
+
+    /// The predicate of an index of `kind` over `metric` built with
+    /// `precision`: it scans in [`IndexKind::scan_precision`].
+    pub fn for_kind(kind: IndexKind, metric: &'a dyn Metric, precision: Precision) -> Self {
+        Self::new(metric, kind.scan_precision(precision))
+    }
+
+    /// The metric the predicate compares under.
+    pub fn metric(&self) -> &'a dyn Metric {
+        self.metric
+    }
+
+    /// The precision of the candidate test.
+    pub fn precision(&self) -> Precision {
+        self.precision
+    }
+
+    /// Whether `p` lies in the closed ε-ball around `q`.
+    #[inline]
+    pub fn within(&self, q: &[f64], p: &[f64], eps: f64) -> bool {
+        let bound = self.metric.to_surrogate(eps);
+        match self.precision {
+            Precision::F64 => self.metric.surrogate(q, p) <= bound,
+            Precision::F32 => {
+                // A one-point, stride-1 block: the same kernel and
+                // narrowing as `scan_block_f32`.
+                let (q32, p32) = (QueryF32::new(q), QueryF32::new(p));
+                let mut out = [0.0f32];
+                self.metric
+                    .surrogate_batch_f32(q32.as_slice(), p32.as_slice(), 1, 1, &mut out);
+                out[0] <= bound as f32
+            }
+        }
+    }
 }
 
 /// Which index structure to build — used by benchmarks and the DBDC
@@ -142,6 +206,16 @@ impl IndexKind {
             IndexKind::Grid => "grid",
             IndexKind::KdTree => "kdtree",
             IndexKind::RStar => "rstar",
+        }
+    }
+
+    /// The precision an index of this kind built with `requested` scans
+    /// in: the linear scan is the exact `f64` oracle and ignores the
+    /// request, every other backend honours it.
+    pub fn scan_precision(self, requested: Precision) -> Precision {
+        match self {
+            IndexKind::Linear => Precision::F64,
+            _ => requested,
         }
     }
 }
@@ -432,6 +506,34 @@ mod observed_tests {
                     assert_eq!(c.distance_evals, 21 * data.len() as u64);
                 }
                 _ => assert!(c.node_visits > 0, "{kind:?} should visit nodes"),
+            }
+        }
+    }
+
+    #[test]
+    fn predicate_and_sheet_are_the_indexes_own() {
+        let data = testutil::random_dataset(300, 5);
+        for precision in Precision::ALL {
+            for kind in IndexKind::ALL {
+                let sheet = Arc::new(CounterSheet::new());
+                let opts = BuildOptions {
+                    threads: 1,
+                    precision,
+                };
+                let idx = build_index_opts(kind, &data, Euclidean, 4.0, opts, Some(&sheet), None);
+                let pred = idx.predicate();
+                assert_eq!(pred.precision(), kind.scan_precision(precision), "{kind:?}");
+                for i in (0..data.len() as u32).step_by(7) {
+                    let mut got = idx.range_vec(data.point(i), 4.0);
+                    got.sort_unstable();
+                    let want: Vec<u32> = (0..data.len() as u32)
+                        .filter(|&j| pred.within(data.point(i), data.point(j), 4.0))
+                        .collect();
+                    assert_eq!(got, want, "{kind:?} {precision:?} query {i}");
+                }
+                let counted = idx.counter_sheet().expect("observed").snapshot();
+                assert_eq!(counted, sheet.snapshot());
+                assert!(counted.range_queries > 0);
             }
         }
     }

@@ -5,7 +5,7 @@
 //! benchmark, and the sensible choice for the tiny representative sets the
 //! DBDC server clusters.
 
-use crate::NeighborIndex;
+use crate::{IndexKind, NeighborIndex, Precision, RangePredicate};
 use dbdc_geom::{Dataset, Metric};
 use dbdc_obs::CounterSheet;
 use std::sync::Arc;
@@ -38,6 +38,14 @@ impl<'a, M: Metric> LinearScan<'a, M> {
 impl<M: Metric> NeighborIndex for LinearScan<'_, M> {
     fn len(&self) -> usize {
         self.data.len()
+    }
+
+    fn predicate(&self) -> RangePredicate<'_> {
+        RangePredicate::for_kind(IndexKind::Linear, &self.metric, Precision::F64)
+    }
+
+    fn counter_sheet(&self) -> Option<&CounterSheet> {
+        self.sheet.as_deref()
     }
 
     fn range(&self, q: &[f64], eps: f64, out: &mut Vec<u32>) {

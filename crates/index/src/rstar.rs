@@ -15,7 +15,7 @@
 
 use crate::linear::ordered::F64;
 use crate::{dist_to_box, scan_block, scan_block_f32, with_scratch, NeighborIndex, QueryWorkspace};
-use crate::{Precision, QueryF32};
+use crate::{IndexKind, Precision, QueryF32, RangePredicate};
 use dbdc_geom::{Dataset, Metric, Rect};
 use dbdc_obs::CounterSheet;
 use std::cmp::Reverse;
@@ -393,6 +393,14 @@ fn str_tile(data: &Dataset, ids: &mut [u32], axis: usize, emit: &mut impl FnMut(
 impl<M: Metric> NeighborIndex for RStarTree<'_, M> {
     fn len(&self) -> usize {
         self.data.len()
+    }
+
+    fn predicate(&self) -> RangePredicate<'_> {
+        RangePredicate::for_kind(IndexKind::RStar, &self.metric, self.flat.precision)
+    }
+
+    fn counter_sheet(&self) -> Option<&CounterSheet> {
+        self.sheet.as_deref()
     }
 
     fn range(&self, q: &[f64], eps: f64, out: &mut Vec<u32>) {

@@ -5,10 +5,12 @@
 use std::net::TcpListener;
 use std::time::Duration;
 
+use dbdc::protocol::local_phase;
 use dbdc::{run_dbdc, run_dbdc_with, DbdcOutcome, DbdcParams, EpsGlobal, Partitioner};
+use dbdc_cluster::check_specific_core_points;
 use dbdc_datagen::dataset_c;
-use dbdc_geom::{Clustering, Dataset, Label};
-use dbdc_index::Precision;
+use dbdc_geom::{Clustering, Dataset, Euclidean, Label};
+use dbdc_index::{Precision, RangePredicate};
 use dbdc_net::{
     run_site, serve, FaultPlan, FaultProxy, NetError, RetryPolicy, ServeOptions, ServerOutcome,
     SiteOptions, SiteOutcome,
@@ -83,6 +85,23 @@ fn networked_run(
     (server_result, site_results, proxy)
 }
 
+/// Reruns every site's local phase (the function `run_site` calls) and
+/// checks Definitions 6 and 7 on its specific core points under the
+/// sites' scan precision, and that its model is the one the server
+/// received.
+fn assert_local_models_valid(data: &Dataset, p: &DbdcParams, bytes_up: &[usize]) {
+    let pred = RangePredicate::for_kind(p.index, &Euclidean, p.precision);
+    for (site, part) in split(data).0.iter().enumerate() {
+        let (scp, encoded, _) = local_phase(site as u32, part, p, &NoopRecorder);
+        assert_eq!(
+            check_specific_core_points(part, &scp, p.eps_local, &pred),
+            Ok(()),
+            "site {site}"
+        );
+        assert_eq!(encoded.len(), bytes_up[site], "site {site}");
+    }
+}
+
 fn expected(data: &Dataset) -> DbdcOutcome {
     run_dbdc(data, &params(), partitioner(), N_SITES)
 }
@@ -124,6 +143,7 @@ fn clean_loopback_matches_in_process_runtime() {
         assert_eq!(s.bytes_down, reference.global_model_bytes);
         assert_eq!(s.global, reference.global);
     }
+    assert_local_models_valid(&g.data, &params(), &server.per_site_bytes_up);
     // The measured phases are real walls now, not model outputs.
     assert!(server.upload_wall > Duration::ZERO);
     assert!(server.broadcast_wall > Duration::ZERO);
@@ -187,6 +207,7 @@ fn in_process_and_loopback_runs_agree_step_for_step() {
     assert_eq!(server.per_site_bytes_up, reference.per_site_bytes_up);
     assert_eq!(server.global_model_bytes, reference.global_model_bytes);
     assert_eq!(server.global, reference.global);
+    assert_local_models_valid(&g.data, &p, &server.per_site_bytes_up);
 
     let dbdc_span = local_rec
         .spans()
